@@ -17,7 +17,6 @@ from .bounds import (
     e1_upper_two_decoy,
     one_decoy_simple,
     one_decoy_trial,
-    q1_lower_two_decoy,
     two_decoy_bounds,
     vacuum_weak_bounds,
     wang_delta,

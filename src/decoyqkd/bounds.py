@@ -138,12 +138,6 @@ def y1_lower_two_decoy(obs: ObservedRates, intensities: ProtocolIntensities) -> 
     return max(val, 0.0)
 
 
-def q1_lower_two_decoy(obs: ObservedRates, intensities: ProtocolIntensities) -> float:
-    """Single-photon-gain lower bound Q1 = Y1_lower * mu * e^(-mu)."""
-    mu = intensities.mu
-    return y1_lower_two_decoy(obs, intensities) * mu * math.exp(-mu)
-
-
 def e1_upper_two_decoy(
     obs: ObservedRates, intensities: ProtocolIntensities, y1_low: float
 ) -> float:

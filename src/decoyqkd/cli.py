@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from contextlib import contextmanager
 from typing import Iterable, Optional, Sequence
@@ -61,6 +62,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def _finite(text: str) -> float:
+    """argparse type: a float that is neither nan nor +-inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decoyqkd",
@@ -72,47 +84,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal-mu", help="signal intensity choices for a parameter set")
     _add_params_opts(p)
     p.add_argument("--method", choices=("strong", "wang"), default="strong")
-    p.add_argument("--length", type=float, default=None,
+    p.add_argument("--length", type=_finite, default=None,
                    help="fiber length in km for the exact-rate cross-check")
     p.set_defaults(func=cmd_optimal_mu)
 
     p = sub.add_parser("bounds", help="single-photon bounds at one operating point")
     _add_params_opts(p)
-    p.add_argument("--length", type=float, required=True, help="fiber length, km")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--nu1", type=float, required=True)
-    p.add_argument("--nu2", type=float, default=0.0)
+    p.add_argument("--length", type=_finite, required=True, help="fiber length, km")
+    p.add_argument("--mu", type=_finite, required=True)
+    p.add_argument("--nu1", type=_finite, required=True)
+    p.add_argument("--nu2", type=_finite, default=0.0)
     p.add_argument("--efficient-bb84", action="store_true",
                    help="use q = 1 instead of the standard 1/2")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("scan", help="rate-versus-distance curves")
     _add_params_opts(p)
-    p.add_argument("--estimator", default="vacuum-weak",
-                   choices=("asymptotic", "vacuum-weak", "one-decoy-trial",
-                            "one-decoy-simple", "two-decoy", "wang"))
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--estimator", default="vacuum-weak", choices=tuple(rate_mod.ESTIMATORS))
+    p.add_argument("--mu", type=_finite, default=None,
                    help="signal intensity (default: the optimal-mu root)")
-    p.add_argument("--nu1", type=float, default=CURVE_NU)
-    p.add_argument("--nu2", type=float, default=0.0)
-    p.add_argument("--l-min", type=float, default=0.0)
-    p.add_argument("--l-max", type=float, default=160.0)
+    p.add_argument("--nu1", type=_finite, default=CURVE_NU)
+    p.add_argument("--nu2", type=_finite, default=0.0)
+    p.add_argument("--l-min", type=_finite, default=0.0)
+    p.add_argument("--l-max", type=_finite, default=160.0)
     p.add_argument("--steps", type=int, default=33)
-    p.add_argument("--n-pulses", type=float, default=None,
+    p.add_argument("--n-pulses", type=_finite, default=None,
                    help="run the finite-statistics optimized scan with this pulse budget")
-    p.add_argument("--u-alpha", type=float, default=10.0)
+    p.add_argument("--u-alpha", type=_finite, default=10.0)
     p.add_argument("--efficient-bb84", action="store_true")
     p.add_argument("--out", default=None, help="CSV destination (default: stdout)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("fluct-optimize", help="pulse-allocation optimization at one distance")
     _add_params_opts(p)
-    p.add_argument("--length", type=float, required=True)
-    p.add_argument("--n-pulses", type=float, default=PULSES_DEFAULT)
-    p.add_argument("--u-alpha", type=float, default=10.0)
-    p.add_argument("--mu", type=float, default=None,
+    p.add_argument("--length", type=_finite, required=True)
+    p.add_argument("--n-pulses", type=_finite, default=PULSES_DEFAULT)
+    p.add_argument("--u-alpha", type=_finite, default=10.0)
+    p.add_argument("--mu", type=_finite, default=None,
                    help="signal intensity (default: the optimal-mu root)")
-    p.add_argument("--estimator", default="vacuum-weak", choices=fluct_mod._ESTIMATORS)
+    p.add_argument("--estimator", default="vacuum-weak", choices=rate_mod.FINITE_SIZE_ESTIMATORS)
     p.set_defaults(func=cmd_fluct_optimize)
 
     p = sub.add_parser("reproduce", help="canned figure/table datasets")
@@ -127,7 +137,7 @@ def _add_params_opts(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--preset", default="GYS", help="parameter preset name (GYS, KTH)")
     g.add_argument("--config", default=None, help="key=value parameter file")
-    p.add_argument("--f-ec", type=float, default=None, help="override f_ec")
+    p.add_argument("--f-ec", type=_finite, default=None, help="override f_ec")
 
 
 def _params_from(args) -> ExperimentParams:
@@ -186,26 +196,18 @@ def cmd_bounds(args) -> None:
     eta = transmittance(params, args.length).eta
     q = 1.0 if args.efficient_bb84 else 0.5
 
-    rows = []
-    asym = bounds_mod.asymptotic_bounds(params, eta, args.mu)
-    obs_vw = simulate_observations(params, eta, (args.mu, args.nu1, 0.0))
-    estimates = [asym, bounds_mod.vacuum_weak_bounds(obs_vw, args.mu, args.nu1)]
-    if args.nu2 > 0.0:
-        ints = bounds_mod.ProtocolIntensities(mu=args.mu, nu1=args.nu1, nu2=args.nu2)
-        obs2 = simulate_observations(params, eta, ints)
-        estimates.append(bounds_mod.two_decoy_bounds(obs2, ints))
-    obs1 = simulate_observations(params, eta, (args.mu, args.nu1))
-    estimates.append(bounds_mod.one_decoy_trial(obs1, args.mu, args.nu1))
-    estimates.append(bounds_mod.one_decoy_simple(obs1, args.mu, args.nu1))
+    names = ["asymptotic", "vacuum-weak"] + (["two-decoy"] if args.nu2 > 0.0 else [])
+    names += ["one-decoy-trial", "one-decoy-simple"]
+    estimates = [
+        rate_mod.estimate_at(name, params, eta, args.mu, args.nu1, args.nu2) for name in names
+    ]
+    asym = estimates[0][1]
+    obs_vw = estimates[1][0]
 
     # all inputs validated above; nothing hits stdout on a bad operating point
     print(f"eta = {eta:.6e}")
-    for est in estimates:
-        r = rate_mod.key_rate_strong(rate_mod.KeyRateInputs(
-            q=q, q_mu=obs_vw.q_mu, e_mu=obs_vw.e_mu,
-            q1_lower=est.q1_lower, e1_upper=est.e1_upper, f_ec=params.f_ec,
-        ))
-        rows.append((est.estimator, est.y0_lower, est.y1_lower, est.q1_lower, est.e1_upper, r))
+    for obs, est in estimates:
+        r = rate_mod.rate_from_estimate(obs, est, q, params.f_ec)
         dev = bounds_mod.deviation_report(est, asym)
         print(
             f"{est.estimator:16s} Y0_L={est.y0_lower:.6e} Y1_L={est.y1_lower:.6e} "
@@ -216,21 +218,10 @@ def cmd_bounds(args) -> None:
     print(f"tagged-fraction bound (nu1 pulses, mu as decoy): {delta:.6f}")
 
 
-def _noiseless_rate_fn(params, estimator, mu, nu1, nu2, q):
-    if estimator == "asymptotic":
-        return lambda l: rate_mod.asymptotic_rate(params, transmittance(params, l).eta, mu, q=q)
-    if estimator == "vacuum-weak":
-        return lambda l: rate_mod.vacuum_weak_rate(params, transmittance(params, l).eta, mu, nu1, q=q)
-    if estimator == "one-decoy-trial":
-        return lambda l: rate_mod.one_decoy_rate(params, transmittance(params, l).eta, mu, nu1, "trial", q=q)
-    if estimator == "one-decoy-simple":
-        return lambda l: rate_mod.one_decoy_rate(params, transmittance(params, l).eta, mu, nu1, "simple", q=q)
-    if estimator == "two-decoy":
-        ints = bounds_mod.ProtocolIntensities(mu=mu, nu1=nu1, nu2=nu2)
-        return lambda l: rate_mod.two_decoy_rate(params, transmittance(params, l).eta, ints, q=q)
-    if estimator == "wang":
-        return lambda l: rate_mod.wang_asymptotic_rate(params, transmittance(params, l).eta, mu, q=q)
-    raise ValidationError(f"unknown estimator {estimator!r}")
+def _noiseless_rate_fn(params, estimator, mu, nu1=CURVE_NU, nu2=0.0, q=0.5):
+    return lambda l: rate_mod.estimator_rate(
+        estimator, params, transmittance(params, l).eta, mu, nu1, nu2, q=q
+    )
 
 
 def _grid(lo: float, hi: float, steps: int):
@@ -246,23 +237,15 @@ def cmd_scan(args) -> None:
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
     grid = _grid(args.l_min, args.l_max, args.steps)
     if args.n_pulses is not None:
-        estimator = args.estimator
-        if estimator not in fluct_mod._ESTIMATORS:
-            if estimator == "one-decoy-trial":
-                estimator = "one-decoy"
-            else:
-                raise ValidationError(
-                    "finite-statistics scans support the vacuum-weak and one-decoy estimators"
-                )
         points = fluct_mod.scan_distance_fluct(
-            params, mu, args.n_pulses, grid, u_alpha=args.u_alpha, estimator=estimator
+            params, mu, args.n_pulses, grid, u_alpha=args.u_alpha, estimator=args.estimator
         )
         with _csv_out(args.out) as w:
             _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"),
                   [(p.length_km, p.rate_lower, p.nu, p.n_signal, p.n_decoy1,
                     p.n_decoy2, p.key_bits) for p in points])
         dmax = fluct_mod.max_distance_fluct(
-            params, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=estimator,
+            params, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator,
             l_hi=max(args.l_max, 250.0),
         )
         print(f"max_distance_km = {dmax if dmax is not None else float('nan'):.2f}")
@@ -350,9 +333,9 @@ def _reproduce_fig2(out: Optional[str]) -> None:
     from .model import GYS
 
     fns = {
-        "rate_asymptotic": _noiseless_rate_fn(GYS, "asymptotic", CURVE_MU, CURVE_NU, 0.0, 0.5),
-        "rate_vacuum_weak": _noiseless_rate_fn(GYS, "vacuum-weak", CURVE_MU, CURVE_NU, 0.0, 0.5),
-        "rate_wang": _noiseless_rate_fn(GYS, "wang", CURVE_WANG_MU_GYS, CURVE_NU, 0.0, 0.5),
+        "rate_asymptotic": _noiseless_rate_fn(GYS, "asymptotic", CURVE_MU),
+        "rate_vacuum_weak": _noiseless_rate_fn(GYS, "vacuum-weak", CURVE_MU),
+        "rate_wang": _noiseless_rate_fn(GYS, "wang", CURVE_WANG_MU_GYS),
     }
     grid = _grid(0.0, 150.0, 76)
     rows = [[l] + [fn(l) for fn in fns.values()] for l in grid]
@@ -385,7 +368,7 @@ def _reproduce_fig3(out: Optional[str]) -> None:
 
 def _fluct_figure(params, n_pulses, grid, wang_mu: Optional[float], out: Optional[str]) -> None:
     mu = rate_mod.optimal_mu(params)
-    asym_fn = _noiseless_rate_fn(params, "asymptotic", mu, CURVE_NU, 0.0, 0.5)
+    asym_fn = _noiseless_rate_fn(params, "asymptotic", mu)
     vw = fluct_mod.scan_distance_fluct(params, mu, n_pulses, grid, estimator="vacuum-weak")
     od = fluct_mod.scan_distance_fluct(params, mu, n_pulses, grid, estimator="one-decoy")
     header = ["l_km", "rate_asymptotic", "rate_vw_fluct", "rate_one_decoy_fluct"]
@@ -394,7 +377,7 @@ def _fluct_figure(params, n_pulses, grid, wang_mu: Optional[float], out: Optiona
         for p, o in zip(vw, od)
     ]
     if wang_mu is not None:
-        wang_fn = _noiseless_rate_fn(params, "wang", wang_mu, CURVE_NU, 0.0, 0.5)
+        wang_fn = _noiseless_rate_fn(params, "wang", wang_mu)
         header.append("rate_wang")
         for row in rows:
             row.append(wang_fn(row[0]))

@@ -25,21 +25,20 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from . import bounds as _bounds
 from .model import (
     E0,
     ExperimentParams,
     ObservedRates,
     ValidationError,
+    _unpack_intensities,
     simulate_observations,
     transmittance,
 )
 from .numerics import SearchConfig, maximize_scalar
-from .rate import KeyRateInputs, key_rate_strong
+from .rate import ESTIMATORS, VACUUM_WEAK, get_estimator, rate_from_estimate
+from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
 LOW_COUNT_FLOOR = 50.0  # below this many expected events the band is dubious
-
-_ESTIMATORS = ("vacuum-weak", "one-decoy")
 
 
 class InsufficientDataError(ValidationError):
@@ -57,18 +56,18 @@ class DataAllocation:
     u_alpha: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("n_total", "n_signal", "n_decoy1", "n_decoy2"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.n_total <= 0.0:
-            raise ValidationError("n_total must be > 0")
+        if not 0.0 < self.n_total < math.inf:
+            raise ValidationError(f"n_total must be finite and > 0, got {self.n_total}")
+        for name in ("n_signal", "n_decoy1", "n_decoy2"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         parts = self.n_signal + self.n_decoy1 + self.n_decoy2
         if abs(parts - self.n_total) > 1e-6 * self.n_total:
             raise ValidationError(
                 f"pulse counts must sum to n_total: {parts} != {self.n_total}"
             )
-        if self.u_alpha < 0.0:
-            raise ValidationError(f"u_alpha must be >= 0, got {self.u_alpha}")
+        if not 0.0 <= self.u_alpha < math.inf:
+            raise ValidationError(f"u_alpha must be finite and >= 0, got {self.u_alpha}")
 
     @property
     def q(self) -> float:
@@ -100,7 +99,6 @@ class FluctuatedBounds:
 def perturb_observations(
     obs: ObservedRates,
     alloc: DataAllocation,
-    intensities,
     vacuum_gain_direction: int = +1,
 ) -> ObservedRates:
     """Worst-case u_alpha-sigma shift of the decoy observations.
@@ -154,13 +152,6 @@ def _low_counts(obs: ObservedRates, alloc: DataAllocation, with_vacuum: bool) ->
     return tuple(name for name, count in checks if count < LOW_COUNT_FLOOR)
 
 
-def _strong_rate(obs: ObservedRates, est, q: float, f_ec: float) -> float:
-    return key_rate_strong(KeyRateInputs(
-        q=q, q_mu=obs.q_mu, e_mu=obs.e_mu,
-        q1_lower=est.q1_lower, e1_upper=est.e1_upper, f_ec=f_ec,
-    ))
-
-
 def fluctuated_bounds(
     params: ExperimentParams,
     eta: float,
@@ -172,34 +163,31 @@ def fluctuated_bounds(
 
     ``intensities`` must be (mu, nu) for one-decoy or (mu, nu, 0) for
     vacuum+weak; a vacuum+weak request with no vacuum pulses degrades to
-    the one-decoy analysis.
+    the one-decoy analysis.  ``estimator`` is one of
+    rate.FINITE_SIZE_ESTIMATORS.
     """
-    if estimator not in _ESTIMATORS:
-        raise ValidationError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    mu, nu, nu2 = _unpack(intensities)
+    row = get_estimator(estimator, finite_size=True)
+    mu, nu, nu2 = _unpack_intensities(intensities)
     if nu2 not in (None, 0.0):
         raise ValidationError("fluctuation analysis expects the second decoy to be vacuum")
 
-    use_vacuum = estimator == "vacuum-weak" and alloc.n_decoy2 > 0.0
-    obs = simulate_observations(params, eta, (mu, nu, 0.0) if use_vacuum else (mu, nu))
+    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
+    if not use_vacuum:
+        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
+    ints = row.intensities(mu, nu)
+    obs = simulate_observations(params, eta, ints)
     q = alloc.q
     f_ec = params.f_ec
 
-    if use_vacuum:
-        est_plain = _bounds.vacuum_weak_bounds(obs, mu, nu)
-        candidates = []
-        for direction in (+1, -1):
-            pert = perturb_observations(obs, alloc, intensities, vacuum_gain_direction=direction)
-            est = _bounds.vacuum_weak_bounds(pert, mu, nu)
-            candidates.append((_strong_rate(obs, est, q, f_ec), est))
-        rate_hat, est_hat = min(candidates, key=lambda c: c[0])
-    else:
-        est_plain = _bounds.one_decoy_trial(obs, mu, nu)
-        pert = perturb_observations(obs, alloc, intensities)
-        est_hat = _bounds.one_decoy_trial(pert, mu, nu)
-        rate_hat = _strong_rate(obs, est_hat, q, f_ec)
+    est_plain = row.estimate(obs, ints)
+    # the vacuum gain's worst direction differs for Y1 and e1: try both
+    candidates = []
+    for direction in (+1, -1) if use_vacuum else (+1,):
+        est = row.estimate(perturb_observations(obs, alloc, direction), ints)
+        candidates.append((rate_from_estimate(obs, est, q, f_ec), est))
+    rate_hat, est_hat = min(candidates, key=lambda c: c[0])
 
-    rate_plain = _strong_rate(obs, est_plain, q, f_ec)
+    rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
     betas = _quadrature_betas(obs, alloc, mu, nu, use_vacuum, est_plain)
     beta_r = 0.0
     if rate_plain > 0.0:
@@ -274,6 +262,8 @@ _DEFAULT_SEEDS = (
     (0.25, 0.45, 0.10),
 )
 _W_MAX = 0.98  # keep at least 2% of pulses on the signal
+_REL_TOL = 1e-4  # coordinate descent stops on a smaller relative gain per cycle
+_MAX_CYCLES = 12
 
 
 def optimize_allocation(
@@ -284,8 +274,6 @@ def optimize_allocation(
     u_alpha: float = 10.0,
     estimator: str = "vacuum-weak",
     seeds: Sequence[Tuple[float, float, float]] = _DEFAULT_SEEDS,
-    rel_tol: float = 1e-4,
-    max_cycles: int = 12,
 ) -> AllocationResult:
     """Maximize the worst-case key yield over (nu, decoy fractions).
 
@@ -293,16 +281,15 @@ def optimize_allocation(
     intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, restarted
     from each seed; for vacuum+weak the w2 = 0 corner (which degrades to
     the one-decoy analysis) is optimized separately and kept when it
-    wins.  Objective tolerance is ``rel_tol`` relative per cycle.
+    wins.  Each descent stops once a cycle gains less than _REL_TOL
+    relative, or after _MAX_CYCLES cycles.
     """
-    if estimator not in _ESTIMATORS:
-        raise ValidationError(f"estimator must be one of {_ESTIMATORS}, got {estimator!r}")
-    if n_total <= 0.0:
-        raise ValidationError("n_total must be > 0")
-    if mu <= 0.0:
-        raise ValidationError("mu must be > 0")
+    with_vacuum = get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK
+    if not 0.0 < n_total < math.inf:
+        raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError(f"mu must be finite and > 0, got {mu}")
 
-    with_vacuum = estimator == "vacuum-weak"
     nu_hi = 0.999 * mu
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
@@ -322,7 +309,7 @@ def optimize_allocation(
         if not free_w2:
             w2 = 0.0
         best = evaluate(nu, w1, w2)
-        for _ in range(max_cycles):
+        for _ in range(_MAX_CYCLES):
             prev = best
             res = maximize_scalar(
                 lambda x: evaluate(x, w1, w2),
@@ -346,7 +333,7 @@ def optimize_allocation(
                     w2, best = res.x, res.value
             if best <= 0.0:
                 break
-            if prev > 0.0 and (best - prev) <= rel_tol * prev:
+            if prev > 0.0 and (best - prev) <= _REL_TOL * prev:
                 break
         return best, (nu, w1, w2)
 
@@ -455,14 +442,3 @@ def max_distance_fluct(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _unpack(intensities):
-    if hasattr(intensities, "mu"):
-        return intensities.mu, intensities.nu1, getattr(intensities, "nu2", None)
-    seq = tuple(intensities)
-    if len(seq) == 2:
-        return seq[0], seq[1], None
-    if len(seq) == 3:
-        return seq
-    raise ValidationError("intensities must supply (mu, nu[, 0])")

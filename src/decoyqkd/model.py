@@ -59,18 +59,18 @@ class ExperimentParams:
     wavelength: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ValidationError(f"alpha must be > 0 dB/km, got {self.alpha}")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and > 0 dB/km, got {self.alpha}")
         if not 0.0 <= self.e_detector <= 0.5:
             raise ValidationError(f"e_detector must lie in [0, 0.5], got {self.e_detector}")
         if not 0.0 <= self.y0 < 1.0:
             raise ValidationError(f"y0 must lie in [0, 1), got {self.y0}")
         if not 0.0 < self.eta_bob <= 1.0:
             raise ValidationError(f"eta_bob must lie in (0, 1], got {self.eta_bob}")
-        if not self.rep_rate > 0.0:
-            raise ValidationError(f"rep_rate must be > 0, got {self.rep_rate}")
-        if not self.f_ec >= 1.0:
-            raise ValidationError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not 0.0 < self.rep_rate < math.inf:
+            raise ValidationError(f"rep_rate must be finite and > 0, got {self.rep_rate}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 # Standard parameter sets from the experimental literature.
@@ -137,8 +137,8 @@ class ChannelPoint:
 
 def transmittance(params: ExperimentParams, length_km: float) -> ChannelPoint:
     """End-to-end transmittance eta = 10^(-alpha*l/10) * eta_bob."""
-    if length_km < 0.0:
-        raise ValidationError(f"length must be >= 0 km, got {length_km}")
+    if not 0.0 <= length_km < math.inf:
+        raise ValidationError(f"length_km must be finite and >= 0, got {length_km}")
     eta = 10.0 ** (-params.alpha * length_km / 10.0) * params.eta_bob
     return ChannelPoint(length_km=length_km, eta=eta)
 

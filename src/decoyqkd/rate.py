@@ -14,6 +14,10 @@ multiphoton fraction of detected signals:
 Negative values are meaningful (no secure key at that operating point)
 and are preserved; clamping to zero happens only where bits are counted.
 
+ESTIMATORS is the one table of estimators: what each observes, its
+bounds function, and whether the finite-size analysis supports it.
+estimator_rate evaluates any row on noiseless model observations.
+
 When the background is negligible and all errors come from misalignment,
 the signal intensity maximizing the strong bound solves
 
@@ -27,10 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, NamedTuple, Optional
 
 from . import bounds as _bounds
 from .model import (
     ExperimentParams,
+    ObservedRates,
     ValidationError,
     overall_gain,
     overall_qber,
@@ -138,8 +144,8 @@ def optimal_mu(params: ExperimentParams, f_ec: float | None = None) -> float:
     With a perfect detector the optimum is mu = 1.
     """
     f = params.f_ec if f_ec is None else f_ec
-    if f < 1.0:
-        raise ValidationError(f"f_ec must be >= 1, got {f}")
+    if not 1.0 <= f < math.inf:
+        raise ValidationError(f"f_ec must be finite and >= 1, got {f}")
     h = binary_entropy(params.e_detector)
     if h >= 0.5:
         raise NoPositiveRateError(
@@ -157,29 +163,20 @@ def optimal_mu(params: ExperimentParams, f_ec: float | None = None) -> float:
     return find_root(lambda m: (1.0 - m) * math.exp(-m) - rhs, cfg)
 
 
-def optimal_mu_exact(
-    params: ExperimentParams, eta: float, q: float = 0.5, f_ec: float | None = None
-) -> float:
+def optimal_mu_exact(params: ExperimentParams, eta: float) -> float:
     """Intensity maximizing the exact asymptotic rate at one channel.
 
     Cross-check for optimal_mu: includes the background and the full
     gain/QBER expressions instead of the stationarity approximation.
     """
-    f = params.f_ec if f_ec is None else f_ec
-
-    def rate(mu: float) -> float:
-        return asymptotic_rate(params, eta, mu, q=q, f_ec=f)
-
-    res = maximize_scalar(rate, SearchConfig(lo=0.01, hi=1.5, abs_tol=1e-7, rel_tol=1e-9))
+    res = maximize_scalar(
+        lambda mu: asymptotic_rate(params, eta, mu),
+        SearchConfig(lo=0.01, hi=1.5, abs_tol=1e-7, rel_tol=1e-9),
+    )
     return res.x
 
 
-def optimal_mu_wang(
-    params: ExperimentParams,
-    length_km: float | None = None,
-    q: float = 0.5,
-    f_ec: float | None = None,
-) -> float:
+def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) -> float:
     """Signal intensity maximizing the weak bound with Delta = mu.
 
     In the asymptotic limit of Wang-style estimation the tagged-fraction
@@ -187,108 +184,157 @@ def optimal_mu_wang(
     with Delta set to mu.  With a length the rate at that distance is
     maximized; without one the secure distance is maximized instead.
     """
-    f = params.f_ec if f_ec is None else f_ec
     cfg = SearchConfig(lo=0.01, hi=0.99, abs_tol=1e-6, rel_tol=1e-9)
     if length_km is not None:
         eta = transmittance(params, length_km).eta
 
         def objective(mu: float) -> float:
-            return wang_asymptotic_rate(params, eta, mu, q=q, f_ec=f)
+            return wang_asymptotic_rate(params, eta, mu)
 
     else:
 
         def objective(mu: float) -> float:
             d = max_secure_distance(
-                lambda l: wang_asymptotic_rate(
-                    params, transmittance(params, l).eta, mu, q=q, f_ec=f
-                )
+                lambda l: wang_asymptotic_rate(params, transmittance(params, l).eta, mu)
             )
             return -1.0 if d is None else d
 
     return maximize_scalar(objective, cfg).x
 
 
+# --- the estimator table -----------------------------------------------
+
+# what an estimator observes: "mu" alone is the model's own signal gain and QBER
+SIGNAL, ONE_DECOY, VACUUM_WEAK, TWO_DECOY = "mu", "mu nu1", "mu nu1 0", "mu nu1 nu2"
+
+
+class _Signal(NamedTuple):
+    q_mu: float
+    e_mu: float
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """One row of ESTIMATORS.
+
+    ``bounds`` names the estimator's function in decoyqkd.bounds.  It is
+    looked up on every call, so a wrapper installed on that module sees
+    the call; the tagged-fraction rate ("wang") needs none.
+    """
+
+    name: str  # as BoundsEstimate.estimator reports it
+    observes: str  # SIGNAL, ONE_DECOY, VACUUM_WEAK or TWO_DECOY
+    bounds: Optional[str]
+    finite_size: bool = False  # supported by fluct's confidence-band analysis
+
+    def intensities(self, mu: float, nu1: float, nu2: float = 0.0):
+        """The intensities it observes, as simulate_observations takes them."""
+        if self.observes == TWO_DECOY:
+            return _bounds.ProtocolIntensities(mu=mu, nu1=nu1, nu2=nu2)
+        return (mu, nu1, 0.0) if self.observes == VACUUM_WEAK else (mu, nu1)
+
+    def estimate(self, obs: ObservedRates, intensities) -> _bounds.BoundsEstimate:
+        """Single-photon bounds from observations at ``intensities``."""
+        fn = getattr(_bounds, self.bounds)
+        if self.observes == TWO_DECOY:
+            return fn(obs, intensities)
+        return fn(obs, intensities[0], intensities[1])
+
+
+ESTIMATORS: Dict[str, Estimator] = {e.name: e for e in (
+    Estimator("asymptotic", SIGNAL, "asymptotic_bounds"),
+    Estimator("vacuum-weak", VACUUM_WEAK, "vacuum_weak_bounds", finite_size=True),
+    Estimator("one-decoy-trial", ONE_DECOY, "one_decoy_trial", finite_size=True),
+    Estimator("one-decoy-simple", ONE_DECOY, "one_decoy_simple"),
+    Estimator("two-decoy", TWO_DECOY, "two_decoy_bounds"),
+    Estimator("wang", SIGNAL, None),
+)}
+ESTIMATORS["one-decoy"] = ESTIMATORS["one-decoy-trial"]  # the finite-size analysis' name
+FINITE_SIZE_ESTIMATORS = tuple(name for name, e in ESTIMATORS.items() if e.finite_size)
+
+
+def get_estimator(name: str, finite_size: bool = False) -> Estimator:
+    """The ESTIMATORS row for ``name``; with finite_size, only FINITE_SIZE_ESTIMATORS."""
+    row = ESTIMATORS.get(name)
+    if row is None or (finite_size and not row.finite_size):
+        names = FINITE_SIZE_ESTIMATORS if finite_size else tuple(ESTIMATORS)
+        kind = "finite-size estimator" if finite_size else "estimator"
+        raise ValidationError(f"{kind} must be one of {names}, got {name!r}")
+    return row
+
+
+def rate_from_estimate(obs, est, q: float, f_ec: float) -> float:
+    """Strong key rate from the signal's obs.q_mu, obs.e_mu and a bounds estimate."""
+    return key_rate_strong(KeyRateInputs(
+        q=q, q_mu=obs.q_mu, e_mu=obs.e_mu,
+        q1_lower=est.q1_lower, e1_upper=est.e1_upper, f_ec=f_ec,
+    ))
+
+
+def estimate_at(name: str, params: ExperimentParams, eta: float, mu: float,
+                nu1: float | None = None, nu2: float = 0.0):
+    """Noiseless model observations at one channel and the estimator's bounds (or None)."""
+    row = get_estimator(name)
+    if row.observes != SIGNAL:
+        ints = row.intensities(mu, nu1, nu2)
+        obs = simulate_observations(params, eta, ints)
+        return obs, row.estimate(obs, ints)
+    est = None if row.bounds is None else getattr(_bounds, row.bounds)(params, eta, mu)
+    return _Signal(overall_gain(mu, params, eta), overall_qber(mu, params, eta)), est
+
+
+def estimator_rate(
+    name: str, params: ExperimentParams, eta: float, mu: float,
+    nu1: float | None = None, nu2: float = 0.0, q: float = 0.5,
+) -> float:
+    """Key rate per pulse of one estimator on noiseless model observations.
+
+    The tagged-fraction estimator ("wang") uses the weak bound with the
+    asymptotic cap Delta = mu; every other one the strong bound.
+    """
+    obs, est = estimate_at(name, params, eta, mu, nu1, nu2)
+    if est is None:
+        return key_rate_wang(WangRateInputs(
+            q=q, q_mu=obs.q_mu, e_mu=obs.e_mu, delta=mu, f_ec=params.f_ec,
+        ))
+    return rate_from_estimate(obs, est, q, params.f_ec)
+
+
 # --- rate-versus-distance curves --------------------------------------
 
 
-def asymptotic_rate(
-    params: ExperimentParams, eta: float, mu: float, q: float = 0.5,
-    f_ec: float | None = None,
-) -> float:
+def asymptotic_rate(params: ExperimentParams, eta: float, mu: float, q: float = 0.5) -> float:
     """Strong bound with perfect (infinite-decoy) single-photon knowledge."""
-    est = _bounds.asymptotic_bounds(params, eta, mu)
-    return key_rate_strong(KeyRateInputs(
-        q=q,
-        q_mu=overall_gain(mu, params, eta),
-        e_mu=overall_qber(mu, params, eta),
-        q1_lower=est.q1_lower,
-        e1_upper=est.e1_upper,
-        f_ec=params.f_ec if f_ec is None else f_ec,
-    ))
+    return estimator_rate("asymptotic", params, eta, mu, q=q)
 
 
 def vacuum_weak_rate(
-    params: ExperimentParams, eta: float, mu: float, nu: float, q: float = 0.5,
-    f_ec: float | None = None,
+    params: ExperimentParams, eta: float, mu: float, nu: float, q: float = 0.5
 ) -> float:
     """Strong bound fed by the vacuum+weak estimator on model observations."""
-    obs = simulate_observations(params, eta, (mu, nu, 0.0))
-    est = _bounds.vacuum_weak_bounds(obs, mu, nu)
-    return key_rate_strong(KeyRateInputs(
-        q=q, q_mu=obs.q_mu, e_mu=obs.e_mu,
-        q1_lower=est.q1_lower, e1_upper=est.e1_upper,
-        f_ec=params.f_ec if f_ec is None else f_ec,
-    ))
+    return estimator_rate("vacuum-weak", params, eta, mu, nu, q=q)
 
 
 def one_decoy_rate(
     params: ExperimentParams, eta: float, mu: float, nu: float,
-    variant: str = "trial", q: float = 0.5, f_ec: float | None = None,
+    variant: str = "trial", q: float = 0.5,
 ) -> float:
-    """Strong bound fed by a one-decoy estimator on model observations."""
-    obs = simulate_observations(params, eta, (mu, nu))
-    if variant == "trial":
-        est = _bounds.one_decoy_trial(obs, mu, nu)
-    elif variant == "simple":
-        est = _bounds.one_decoy_simple(obs, mu, nu)
-    else:
-        raise ValidationError(f"unknown one-decoy variant {variant!r}")
-    return key_rate_strong(KeyRateInputs(
-        q=q, q_mu=obs.q_mu, e_mu=obs.e_mu,
-        q1_lower=est.q1_lower, e1_upper=est.e1_upper,
-        f_ec=params.f_ec if f_ec is None else f_ec,
-    ))
+    """Strong bound fed by a one-decoy estimator ("trial" or "simple")."""
+    return estimator_rate(f"one-decoy-{variant}", params, eta, mu, nu, q=q)
 
 
-def two_decoy_rate(
-    params: ExperimentParams, eta: float, intensities, q: float = 0.5,
-    f_ec: float | None = None,
-) -> float:
+def two_decoy_rate(params: ExperimentParams, eta: float, intensities, q: float = 0.5) -> float:
     """Strong bound fed by the generic two-decoy estimator."""
     if not hasattr(intensities, "mu"):
         intensities = _bounds.ProtocolIntensities(*intensities)
-    obs = simulate_observations(params, eta, intensities)
-    est = _bounds.two_decoy_bounds(obs, intensities)
-    return key_rate_strong(KeyRateInputs(
-        q=q, q_mu=obs.q_mu, e_mu=obs.e_mu,
-        q1_lower=est.q1_lower, e1_upper=est.e1_upper,
-        f_ec=params.f_ec if f_ec is None else f_ec,
-    ))
+    return estimator_rate(
+        "two-decoy", params, eta, intensities.mu, intensities.nu1, intensities.nu2, q=q
+    )
 
 
-def wang_asymptotic_rate(
-    params: ExperimentParams, eta: float, mu: float, q: float = 0.5,
-    f_ec: float | None = None,
-) -> float:
+def wang_asymptotic_rate(params: ExperimentParams, eta: float, mu: float, q: float = 0.5) -> float:
     """Weak bound with the asymptotic tagged-fraction cap Delta = mu."""
-    rate = key_rate_wang(WangRateInputs(
-        q=q,
-        q_mu=overall_gain(mu, params, eta),
-        e_mu=overall_qber(mu, params, eta),
-        delta=mu,
-        f_ec=params.f_ec if f_ec is None else f_ec,
-    ))
-    return rate
+    return estimator_rate("wang", params, eta, mu, q=q)
 
 
 def max_secure_distance(

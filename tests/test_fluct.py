@@ -54,7 +54,7 @@ def test_data_allocation_validation():
 def test_perturb_shifts_each_observable_the_damaging_way():
     alloc = make_alloc()
     obs = simulate_observations(GYS, ETA_40KM, INTENSITIES)
-    pert = perturb_observations(obs, alloc, INTENSITIES)
+    pert = perturb_observations(obs, alloc)
     # signal-side statistics are left alone
     assert pert.q_mu == obs.q_mu
     assert pert.e_mu == obs.e_mu
@@ -69,24 +69,24 @@ def test_perturb_shifts_each_observable_the_damaging_way():
 def test_perturb_vacuum_direction_is_selectable():
     alloc = make_alloc()
     obs = simulate_observations(GYS, ETA_40KM, INTENSITIES)
-    up = perturb_observations(obs, alloc, INTENSITIES, vacuum_gain_direction=+1)
-    down = perturb_observations(obs, alloc, INTENSITIES, vacuum_gain_direction=-1)
+    up = perturb_observations(obs, alloc, vacuum_gain_direction=+1)
+    down = perturb_observations(obs, alloc, vacuum_gain_direction=-1)
     assert up.q_nu2 > obs.q_nu2 > down.q_nu2
     with pytest.raises(ValidationError):
-        perturb_observations(obs, alloc, INTENSITIES, vacuum_gain_direction=0)
+        perturb_observations(obs, alloc, vacuum_gain_direction=0)
 
 
 def test_perturb_with_zero_u_alpha_is_identity():
     alloc = make_alloc(u_alpha=0.0)
     obs = simulate_observations(GYS, ETA_40KM, INTENSITIES)
-    assert perturb_observations(obs, alloc, INTENSITIES) is obs
+    assert perturb_observations(obs, alloc) is obs
 
 
 def test_perturb_needs_expected_events():
     alloc = DataAllocation(n_total=6.0e9, n_signal=5.7e9, n_decoy1=0.0, n_decoy2=0.3e9)
     obs = simulate_observations(GYS, ETA_40KM, INTENSITIES)
     with pytest.raises(InsufficientDataError):
-        perturb_observations(obs, alloc, INTENSITIES)
+        perturb_observations(obs, alloc)
 
 
 def test_fluctuated_bounds_validation():
@@ -126,7 +126,7 @@ def test_fluctuated_bounds_keeps_the_worse_vacuum_direction():
     from decoyqkd.rate import KeyRateInputs, key_rate_strong
 
     for direction in (+1, -1):
-        pert = perturb_observations(obs, alloc, INTENSITIES, vacuum_gain_direction=direction)
+        pert = perturb_observations(obs, alloc, vacuum_gain_direction=direction)
         est = vacuum_weak_bounds(pert, 0.479, 0.127)
         rate = key_rate_strong(KeyRateInputs(
             q=alloc.q, q_mu=obs.q_mu, e_mu=obs.e_mu,
