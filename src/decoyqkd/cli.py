@@ -10,13 +10,15 @@ Subcommands:
     reproduce       canned figure/table datasets (fig1..fig6, table2)
 
 Exit codes: 0 on success, 2 on input validation errors, 1 on anything
-else.  CSV goes to --out when given, otherwise to standard output.
+else.  CSV goes to --out when given, otherwise to standard output; a
+failed command leaves the --out file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from contextlib import contextmanager
@@ -154,12 +156,18 @@ def _params_from(args) -> ExperimentParams:
 
 @contextmanager
 def _csv_out(path: Optional[str]):
+    """CSV writer to stdout, or to ``path`` once the block has succeeded.
+
+    A command that fails part-way leaves ``path`` as it was.
+    """
     if path is None or path == "-":
         yield csv.writer(sys.stdout, lineterminator="\n")
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield csv.writer(fh, lineterminator="\n")
-        print(f"wrote {path}")
+        return
+    buf = io.StringIO()
+    yield csv.writer(buf, lineterminator="\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(buf.getvalue())
+    print(f"wrote {path}")
 
 
 def _fmt(x) -> str:
@@ -269,6 +277,12 @@ def cmd_fluct_optimize(args) -> None:
         params, eta, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator
     )
     alloc, fb = res.alloc, res.result
+    if fb.low_count_observables:
+        raise ValidationError(
+            f"--n-pulses {args.n_pulses:g} leaves fewer than {fluct_mod.LOW_COUNT_FLOOR:g} "
+            f"expected events for {', '.join(fb.low_count_observables)}, "
+            "too few for a confidence band"
+        )
     print(f"l_km = {args.length:.2f}")
     print(f"mu = {mu:.6f}")
     print(f"eta = {eta:.6e}")
@@ -283,8 +297,6 @@ def cmd_fluct_optimize(args) -> None:
     print(f"beta_y1 = {100 * fb.beta_y1:.2f}%")
     print(f"beta_e1 = {100 * fb.beta_e1:.2f}%")
     print(f"beta_r = {100 * fb.beta_r:.2f}%")
-    if fb.low_count_observables:
-        print(f"low-count observables: {', '.join(fb.low_count_observables)}")
 
 
 # --- canned datasets ---------------------------------------------------

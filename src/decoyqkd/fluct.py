@@ -22,7 +22,7 @@ distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .model import (
@@ -107,7 +107,8 @@ def perturb_observations(
     directions that weaken Y1 and strengthen e1).  The vacuum gain moves
     by ``vacuum_gain_direction`` (+1 loosens Y1, -1 raises e1; callers
     wanting the strict worst case evaluate both).  Signal observables
-    are left untouched.  Raises InsufficientDataError for any measured
+    are left untouched, and so is e_nu2: the vacuum+weak estimator uses
+    E0 * Y0 in its place.  Raises InsufficientDataError for any measured
     observable with zero expected events.
     """
     if vacuum_gain_direction not in (+1, -1):
@@ -129,17 +130,12 @@ def perturb_observations(
     eq1_up = eq1 * (1.0 + band("e_nu1*q_nu1", alloc.n_decoy1, eq1))
     e1 = min(eq1_up / q1, 1.0) if q1 > 0.0 else 1.0
 
-    fields = {"q_nu1": q1, "e_nu1": e1}
+    q2 = obs.q_nu2
     if obs.has_second_decoy:
-        delta0 = band("q_nu2", alloc.n_decoy2, obs.q_nu2)
-        q2 = obs.q_nu2 * (1.0 + vacuum_gain_direction * delta0)
-        q2 = min(max(q2, 0.0), 1.0)
-        eq2 = obs.e_nu2 * obs.q_nu2
-        eq2_dn = eq2 * (1.0 - band("e_nu2*q_nu2", alloc.n_decoy2, eq2))
-        e2 = min(max(eq2_dn, 0.0) / q2, 1.0) if q2 > 0.0 else 0.0
-        fields["q_nu2"] = q2
-        fields["e_nu2"] = e2
-    return replace(obs, **fields)
+        delta0 = band("q_nu2", alloc.n_decoy2, q2)
+        q2 = min(max(q2 * (1.0 + vacuum_gain_direction * delta0), 0.0), 1.0)
+    return ObservedRates(q_mu=obs.q_mu, e_mu=obs.e_mu, q_nu1=q1, e_nu1=e1,
+                         q_nu2=q2, e_nu2=obs.e_nu2)
 
 
 def _low_counts(obs: ObservedRates, alloc: DataAllocation, with_vacuum: bool) -> Tuple[str, ...]:
@@ -171,23 +167,11 @@ def fluctuated_bounds(
     if nu2 not in (None, 0.0):
         raise ValidationError("fluctuation analysis expects the second decoy to be vacuum")
 
-    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
-    if not use_vacuum:
-        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
-    ints = row.intensities(mu, nu)
-    obs = simulate_observations(params, eta, ints)
-    q = alloc.q
-    f_ec = params.f_ec
-
+    row, ints, obs = _observe(params, eta, row, mu, nu, alloc)
+    use_vacuum = row.observes == VACUUM_WEAK
+    rate_hat, est_hat = _worst_case(row, obs, ints, alloc, params.f_ec)
     est_plain = row.estimate(obs, ints)
-    # the vacuum gain's worst direction differs for Y1 and e1: try both
-    candidates = []
-    for direction in (+1, -1) if use_vacuum else (+1,):
-        est = row.estimate(perturb_observations(obs, alloc, direction), ints)
-        candidates.append((rate_from_estimate(obs, est, q, f_ec), est))
-    rate_hat, est_hat = min(candidates, key=lambda c: c[0])
-
-    rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
+    rate_plain = rate_from_estimate(obs, est_plain, alloc.q, params.f_ec)
     betas = _quadrature_betas(obs, alloc, mu, nu, use_vacuum, est_plain)
     beta_r = 0.0
     if rate_plain > 0.0:
@@ -203,6 +187,32 @@ def fluctuated_bounds(
         beta_r=beta_r,
         low_count_observables=_low_counts(obs, alloc, use_vacuum),
     )
+
+
+def _observe(params: ExperimentParams, eta: float, row, mu: float, nu: float,
+             alloc: DataAllocation):
+    """The row that applies to ``alloc``, its intensities and their observations."""
+    if not (row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0):
+        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
+    ints = row.intensities(mu, nu)
+    return row, ints, simulate_observations(params, eta, ints)
+
+
+def _worst_case(row, obs: ObservedRates, ints, alloc: DataAllocation, f_ec: float):
+    """(rate, estimate) of the worse vacuum-gain direction of the shifted observations."""
+    # the vacuum gain's worst direction differs for Y1 and e1: try both
+    candidates = []
+    for direction in (+1, -1) if row.observes == VACUUM_WEAK else (+1,):
+        est = row.estimate(perturb_observations(obs, alloc, direction), ints)
+        candidates.append((rate_from_estimate(obs, est, alloc.q, f_ec), est))
+    return min(candidates, key=lambda c: c[0])
+
+
+def _rate_lower(params: ExperimentParams, eta: float, row, mu: float, nu: float,
+                alloc: DataAllocation) -> float:
+    """fluctuated_bounds(...).rate_lower alone: the allocation search's objective."""
+    row, ints, obs = _observe(params, eta, row, mu, nu, alloc)
+    return _worst_case(row, obs, ints, alloc, params.f_ec)[0]
 
 
 def _quadrature_betas(
@@ -266,6 +276,10 @@ _REL_TOL = 1e-4  # coordinate descent stops on a smaller relative gain per cycle
 _MAX_CYCLES = 12
 
 
+class _PositiveRate(Exception):
+    """A reach probe's search met a positive rate, which settles its sign."""
+
+
 def optimize_allocation(
     params: ExperimentParams,
     eta: float,
@@ -284,7 +298,28 @@ def optimize_allocation(
     wins.  Each descent stops once a cycle gains less than _REL_TOL
     relative, or after _MAX_CYCLES cycles.
     """
-    with_vacuum = get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK
+    return _search(params, eta, mu, n_total, u_alpha, estimator, seeds, stop_if_positive=False)
+
+
+def _search(
+    params: ExperimentParams,
+    eta: float,
+    mu: float,
+    n_total: float,
+    u_alpha: float,
+    estimator: str,
+    seeds: Sequence[Tuple[float, float, float]],
+    stop_if_positive: bool,
+) -> AllocationResult:
+    """optimize_allocation; with stop_if_positive, raise _PositiveRate at the first rate > 0.
+
+    The best value the search returns is the running maximum of its
+    evaluations (the line searches keep their better interior point and
+    refine keeps only gains), so the first positive evaluation already
+    decides that the optimum is positive.
+    """
+    row = get_estimator(estimator, finite_size=True)
+    with_vacuum = row.observes == VACUUM_WEAK
     if not 0.0 < n_total < math.inf:
         raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
     if not 0.0 < mu < math.inf:
@@ -299,10 +334,12 @@ def optimize_allocation(
             return -1.0
         alloc = _make_alloc(n_total, w1, w2, u_alpha)
         try:
-            fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
+            rate = _rate_lower(params, eta, row, mu, nu, alloc)
         except InsufficientDataError:
             return -1.0
-        return max(fb.rate_lower, 0.0)
+        if stop_if_positive and rate > 0.0:
+            raise _PositiveRate
+        return max(rate, 0.0)
 
     def refine(seed: Tuple[float, float, float], free_w2: bool) -> Tuple[float, Tuple[float, float, float]]:
         nu, w1, w2 = seed
@@ -346,6 +383,19 @@ def optimize_allocation(
     alloc = _make_alloc(n_total, w1, w2, u_alpha)
     fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
     return AllocationResult(alloc=alloc, nu=nu, result=fb)
+
+
+def _optimum_is_positive(
+    params: ExperimentParams, eta: float, mu: float, n_total: float, u_alpha: float,
+    estimator: str,
+) -> bool:
+    """optimize_allocation(...).result.rate_lower > 0, stopping at the first positive rate."""
+    try:
+        res = _search(params, eta, mu, n_total, u_alpha, estimator, _DEFAULT_SEEDS,
+                      stop_if_positive=True)
+    except _PositiveRate:
+        return True
+    return res.result.rate_lower > 0.0
 
 
 def _make_alloc(n_total: float, w1: float, w2: float, u_alpha: float) -> DataAllocation:
@@ -417,8 +467,7 @@ def max_distance_fluct(
 
     def positive(length: float) -> bool:
         eta = transmittance(params, length).eta
-        res = optimize_allocation(params, eta, mu, n_total, u_alpha=u_alpha, estimator=estimator)
-        return res.result.rate_lower > 0.0
+        return _optimum_is_positive(params, eta, mu, n_total, u_alpha, estimator)
 
     if not positive(l_lo):
         return None

@@ -81,12 +81,12 @@ class KeyRateInputs:
             raise ValidationError(f"q_mu must lie in [0, 1], got {self.q_mu}")
         if not 0.0 <= self.e_mu <= 1.0:
             raise ValidationError(f"e_mu must lie in [0, 1], got {self.e_mu}")
-        if self.q1_lower < 0.0:
-            raise ValidationError(f"q1_lower must be >= 0, got {self.q1_lower}")
+        if not 0.0 <= self.q1_lower < math.inf:
+            raise ValidationError(f"q1_lower must be finite and >= 0, got {self.q1_lower}")
         if not 0.0 <= self.e1_upper <= 1.0:
             raise ValidationError(f"e1_upper must lie in [0, 1], got {self.e1_upper}")
-        if self.f_ec < 1.0:
-            raise ValidationError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 def key_rate_strong(inputs: KeyRateInputs) -> float:
@@ -116,8 +116,8 @@ class WangRateInputs:
             raise ValidationError(f"e_mu must lie in [0, 1], got {self.e_mu}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta must lie in [0, 1], got {self.delta}")
-        if self.f_ec < 1.0:
-            raise ValidationError(f"f_ec must be >= 1, got {self.f_ec}")
+        if not 1.0 <= self.f_ec < math.inf:
+            raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec}")
 
 
 def key_rate_wang(inputs: WangRateInputs) -> float:

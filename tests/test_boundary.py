@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 from decoyqkd import cli
 from decoyqkd.fluct import DataAllocation, optimize_allocation
 from decoyqkd.model import GYS, ValidationError, transmittance
-from decoyqkd.rate import optimal_mu
+from decoyqkd.rate import (
+    KeyRateInputs,
+    WangRateInputs,
+    key_rate_strong,
+    key_rate_wang,
+    optimal_mu,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
@@ -129,3 +135,40 @@ def test_cli_rejects_non_finite_float_options(capsys, command, option, value):
     err = capsys.readouterr().err
     assert option in err
     assert "finite" in err
+
+
+KEY_RATE_BASE = dict(q=0.5, q_mu=0.003, e_mu=0.03, q1_lower=0.0015, e1_upper=0.04, f_ec=1.22)
+WANG_BASE = dict(q=0.5, q_mu=0.003, e_mu=0.03, delta=0.4, f_ec=1.22)
+
+
+@PROPERTY
+@given(st.sampled_from(tuple(KEY_RATE_BASE)), ANY_FLOAT)
+def test_key_rate_inputs_reject_or_give_a_finite_rate(field, value):
+    try:
+        inputs = KeyRateInputs(**{**KEY_RATE_BASE, field: value})
+    except ValidationError as exc:
+        assert field in str(exc)
+    else:
+        assert math.isfinite(key_rate_strong(inputs))
+
+
+@PROPERTY
+@given(st.sampled_from(tuple(WANG_BASE)), ANY_FLOAT)
+def test_wang_rate_inputs_reject_or_give_a_rate(field, value):
+    try:
+        inputs = WangRateInputs(**{**WANG_BASE, field: value})
+    except ValidationError as exc:
+        assert field in str(exc)
+    else:
+        # -inf is the documented value of a degenerate bound
+        r = key_rate_wang(inputs)
+        assert math.isfinite(r) or r == -math.inf
+
+
+@pytest.mark.parametrize("field", ["q1_lower", "f_ec"])
+def test_rate_inputs_reject_nan(field):
+    with pytest.raises(ValidationError, match=field):
+        KeyRateInputs(**{**KEY_RATE_BASE, field: math.nan})
+    if field in WANG_BASE:
+        with pytest.raises(ValidationError, match=field):
+            WangRateInputs(**{**WANG_BASE, field: math.nan})

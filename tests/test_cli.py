@@ -140,3 +140,35 @@ def test_reproduce_deviation_curves(tmp_path, capsys):
 def test_reproduce_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit):
         cli.main(["reproduce", "fig9"])
+
+
+# commands that write --out, each given an invalid operating point
+FAILING_OUT_COMMANDS = [
+    ("scan", "--mu", "0.48", "--nu1", "0.6"),
+    ("scan", "--n-pulses", "6e9", "--u-alpha", "-1", "--steps", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", FAILING_OUT_COMMANDS)
+def test_failed_command_creates_no_out_file(tmp_path, capsys, argv):
+    out_path = tmp_path / "x.csv"
+    code, _, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert "error:" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", FAILING_OUT_COMMANDS)
+def test_failed_command_leaves_existing_out_file_alone(tmp_path, capsys, argv):
+    out_path = tmp_path / "x.csv"
+    out_path.write_bytes(b"l_km,rate_per_pulse\n0,1\n")
+    code, _, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2
+    assert out_path.read_bytes() == b"l_km,rate_per_pulse\n0,1\n"
+
+
+def test_fluct_optimize_rejects_a_budget_with_low_counts(capsys):
+    code, out, err = run(capsys, "fluct-optimize", "--length", "40", "--n-pulses", "10")
+    assert code == 2
+    assert "--n-pulses" in err
+    assert out == ""
