@@ -182,6 +182,16 @@ def _emit(writer, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerow([_fmt(x) for x in row])
 
 
+def _print_reach(key: str, km: Optional[float], limit: float = rate_mod.REACH_LIMIT_KM) -> None:
+    """One reach line: a crossing, none, or censored at the search limit."""
+    if km is None:
+        print(f"{key} = none (rate never positive)")
+    elif km == limit:
+        print(f"{key} = >= {km:.2f} (rate still positive at the search limit)")
+    else:
+        print(f"{key} = {km:.2f}")
+
+
 def cmd_optimal_mu(args) -> None:
     params = _params_from(args)
     if args.method == "wang":
@@ -252,21 +262,17 @@ def cmd_scan(args) -> None:
             _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"),
                   [(p.length_km, p.rate_lower, p.nu, p.n_signal, p.n_decoy1,
                     p.n_decoy2, p.key_bits) for p in points])
+        l_hi = max(args.l_max, fluct_mod.REACH_LIMIT_KM)
         dmax = fluct_mod.max_distance_fluct(
-            params, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator,
-            l_hi=max(args.l_max, 250.0),
+            params, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator, l_hi=l_hi
         )
-        print(f"max_distance_km = {dmax if dmax is not None else float('nan'):.2f}")
+        _print_reach("max_distance_km", dmax, l_hi)
         return
     q = 1.0 if args.efficient_bb84 else 0.5
     fn = _noiseless_rate_fn(params, args.estimator, mu, args.nu1, args.nu2, q)
     with _csv_out(args.out) as w:
         _emit(w, ("l_km", "rate_per_pulse"), [(l, fn(l)) for l in grid])
-    dmax = rate_mod.max_secure_distance(fn)
-    if dmax is None:
-        print("max_distance_km = none (rate never positive)")
-    else:
-        print(f"max_distance_km = {dmax:.2f}")
+    _print_reach("max_distance_km", rate_mod.max_secure_distance(fn))
 
 
 def cmd_fluct_optimize(args) -> None:
@@ -354,7 +360,7 @@ def _reproduce_fig2(out: Optional[str]) -> None:
     with _csv_out(out) as w:
         _emit(w, ("l_km", *fns.keys()), rows)
     for name, fn in fns.items():
-        print(f"max_distance_km[{name}] = {rate_mod.max_secure_distance(fn):.2f}")
+        _print_reach(f"max_distance_km[{name}]", rate_mod.max_secure_distance(fn))
     mu_w = rate_mod.optimal_mu_wang(GYS)
     print(f"mu_wang_optimal = {mu_w:.4f}")
 
@@ -396,13 +402,13 @@ def _fluct_figure(params, n_pulses, grid, wang_mu: Optional[float], out: Optiona
     with _csv_out(out) as w:
         _emit(w, header, rows)
     print(f"mu = {mu:.4f}")
-    print(f"max_distance_km[asymptotic] = {rate_mod.max_secure_distance(asym_fn):.2f}")
-    dm_vw = fluct_mod.max_distance_fluct(params, mu, n_pulses, estimator="vacuum-weak")
-    dm_od = fluct_mod.max_distance_fluct(params, mu, n_pulses, estimator="one-decoy")
-    print(f"max_distance_km[vacuum-weak fluct] = {dm_vw:.2f}")
-    print(f"max_distance_km[one-decoy fluct] = {dm_od:.2f}")
+    _print_reach("max_distance_km[asymptotic]", rate_mod.max_secure_distance(asym_fn))
+    for estimator in ("vacuum-weak", "one-decoy"):
+        _print_reach(f"max_distance_km[{estimator} fluct]",
+                     fluct_mod.max_distance_fluct(params, mu, n_pulses, estimator=estimator),
+                     fluct_mod.REACH_LIMIT_KM)
     if wang_mu is not None:
-        print(f"max_distance_km[wang mu={wang_mu:g}] = {rate_mod.max_secure_distance(wang_fn):.2f}")
+        _print_reach(f"max_distance_km[wang mu={wang_mu:g}]", rate_mod.max_secure_distance(wang_fn))
 
 
 def _reproduce_fig4(out: Optional[str]) -> None:

@@ -34,11 +34,12 @@ from .model import (
     simulate_observations,
     transmittance,
 )
-from .numerics import SearchConfig, maximize_scalar
+from .numerics import SearchConfig, find_zero_crossing, maximize_scalar
 from .rate import ESTIMATORS, VACUUM_WEAK, get_estimator, rate_from_estimate
 from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
 LOW_COUNT_FLOOR = 50.0  # below this many expected events the band is dubious
+REACH_LIMIT_KM = 250.0  # the finite-size distance search stops here
 
 
 class InsufficientDataError(ValidationError):
@@ -459,35 +460,17 @@ def max_distance_fluct(
     n_total: float,
     u_alpha: float = 10.0,
     estimator: str = "vacuum-weak",
-    l_lo: float = 1.0,
-    l_hi: float = 250.0,
-    l_tol: float = 0.05,
+    l_hi: float = REACH_LIMIT_KM,
 ) -> Optional[float]:
-    """Largest distance with a positive optimized key yield, by bisection."""
+    """Largest distance with a positive optimized key yield, to 0.05 km.
 
-    def positive(length: float) -> bool:
+    Marches from 1 km in 8 km steps and bisects the first bracket where
+    the optimum stops being positive.  Returns None when it is not
+    positive at 1 km, and exactly l_hi when it is still positive there.
+    """
+
+    def sign(length: float) -> float:
         eta = transmittance(params, length).eta
-        return _optimum_is_positive(params, eta, mu, n_total, u_alpha, estimator)
+        return 1.0 if _optimum_is_positive(params, eta, mu, n_total, u_alpha, estimator) else -1.0
 
-    if not positive(l_lo):
-        return None
-    lo = l_lo
-    hi = None
-    step = 8.0
-    x = l_lo
-    while x < l_hi:
-        x = min(x + step, l_hi)
-        if positive(x):
-            lo = x
-        else:
-            hi = x
-            break
-    if hi is None:
-        return l_hi
-    while hi - lo > l_tol:
-        mid = 0.5 * (lo + hi)
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return find_zero_crossing(sign, 1.0, l_hi, 8.0, x_tol=0.05)

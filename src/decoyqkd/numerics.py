@@ -139,32 +139,33 @@ def find_zero_crossing(
     step: float,
     x_tol: float = 0.01,
 ) -> Optional[float]:
-    """First sign change of ``f`` marching from ``lo``, refined by bisection.
+    """First point where ``f`` stops being positive, marching from ``lo``.
 
-    Intended for curves that are positive on the left and stay negative
-    past their first crossing (key rate versus distance).  Returns None
-    when no sign change is found up to ``hi``.
+    Intended for curves that are positive on the left and stay
+    non-positive past their first crossing (key rate versus distance).
+    The march takes steps of ``step`` up to ``hi``; the first bracket
+    whose right end has ``f <= 0`` is bisected to ``x_tol``.  Returns
+
+    * None when ``f(lo) <= 0`` (never positive);
+    * the bisected crossing, strictly below ``hi``;
+    * exactly ``hi`` when ``f`` is still positive there (censored).
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x_prev = lo
-    f_prev = f(x_prev)
-    if f_prev <= 0.0:
-        return x_prev if f_prev == 0.0 else None
-    x = lo
-    while x < hi:
-        x = min(x + step, hi)
-        f_cur = f(x)
-        if f_cur <= 0.0:
-            a, b = x_prev, x
-            while (b - a) > x_tol:
-                m = 0.5 * (a + b)
+    if not (step > 0.0 and x_tol > 0.0):
+        raise ValueError("step and x_tol must be positive")
+    if f(lo) <= 0.0:
+        return None
+    a = lo
+    while a < hi:
+        b = min(a + step, hi)
+        if f(b) <= 0.0:
+            m = 0.5 * (a + b)
+            while (b - a) > x_tol and a < m < b:  # stop if a and b are adjacent floats
                 if f(m) > 0.0:
                     a = m
                 else:
                     b = m
-            return 0.5 * (a + b)
-        x_prev, f_prev = x, f_cur
-        if x >= hi:
-            break
-    return None
+                m = 0.5 * (a + b)
+            # the midpoint of a and hi can round up to hi, which would read as censored
+            return m if m < hi else a
+        a = b
+    return hi

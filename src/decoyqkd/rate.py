@@ -337,19 +337,15 @@ def wang_asymptotic_rate(params: ExperimentParams, eta: float, mu: float, q: flo
     return estimator_rate("wang", params, eta, mu, q=q)
 
 
-def max_secure_distance(
-    rate_of_length, l_max: float = 500.0, step: float = 2.0, l_tol: float = 0.01
-) -> float | None:
-    """Zero crossing of a rate-versus-distance curve, to l_tol km.
+REACH_LIMIT_KM = 500.0  # the noiseless distance search stops here
+
+
+def max_secure_distance(rate_of_length, l_max: float = REACH_LIMIT_KM) -> float | None:
+    """Zero crossing of a rate-versus-distance curve, to 0.01 km.
 
     Expects the usual shape: positive at short distance, negative past
     the crossing.  Returns None when the rate is never positive, and
-    l_max when it is still positive there.
+    exactly l_max when it is still positive there (a crossing is always
+    below l_max).
     """
-    r0 = rate_of_length(0.0)
-    if r0 <= 0.0:
-        return None
-    crossing = find_zero_crossing(rate_of_length, 0.0, l_max, step, x_tol=l_tol)
-    if crossing is None:
-        return l_max
-    return crossing
+    return find_zero_crossing(rate_of_length, 0.0, l_max, 2.0, x_tol=0.01)

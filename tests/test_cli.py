@@ -172,3 +172,25 @@ def test_fluct_optimize_rejects_a_budget_with_low_counts(capsys):
     assert code == 2
     assert "--n-pulses" in err
     assert out == ""
+
+
+LOW_LOSS_LINK = "alpha = 0.02\ne_detector = 0.01\ny0 = 1e-7\neta_bob = 0.5\n"
+
+
+@pytest.mark.parametrize("link, extra, line", [
+    (None, ("--n-pulses", "1e4", "--l-max", "40"),
+     "max_distance_km = none (rate never positive)"),
+    (LOW_LOSS_LINK, (),
+     "max_distance_km = >= 500.00 (rate still positive at the search limit)"),
+    (LOW_LOSS_LINK, ("--n-pulses", "1e12"),
+     "max_distance_km = >= 250.00 (rate still positive at the search limit)"),
+], ids=("never-positive", "censored-noiseless", "censored-finite"))
+def test_scan_reach_line_is_none_or_censored(tmp_path, capsys, link, extra, line):
+    params = ()
+    if link is not None:
+        cfg = tmp_path / "link.txt"
+        cfg.write_text(link)
+        params = ("--config", str(cfg))
+    code, out, _ = run(capsys, "scan", *params, "--steps", "3", *extra)
+    assert code == 0
+    assert out.strip().splitlines()[-1] == line

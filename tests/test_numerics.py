@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decoyqkd.numerics import (
     BracketError,
@@ -12,6 +14,7 @@ from decoyqkd.numerics import (
     finite_difference,
     maximize_scalar,
 )
+from decoyqkd.rate import max_secure_distance
 
 
 def test_search_config_rejects_bad_input():
@@ -91,8 +94,47 @@ def test_find_zero_crossing_linear():
 
 
 def test_find_zero_crossing_edge_cases():
-    assert find_zero_crossing(lambda l: 0.0, 0.0, 10.0, 1.0) == 0.0
+    assert find_zero_crossing(lambda l: 0.0, 0.0, 10.0, 1.0) is None
     assert find_zero_crossing(lambda l: -1.0, 0.0, 10.0, 1.0) is None
-    assert find_zero_crossing(lambda l: 1.0, 0.0, 10.0, 1.0) is None
+    assert find_zero_crossing(lambda l: 1.0, 0.0, 10.0, 1.0) == 10.0
     with pytest.raises(ValueError):
         find_zero_crossing(lambda l: 1.0 - l, 0.0, 10.0, step=0.0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    lo=st.floats(-100.0, 100.0),
+    span=st.floats(0.5, 500.0),
+    step=st.floats(0.1, 100.0),
+    x_tol=st.floats(1e-4, 5.0),
+    offset=st.floats(-50.0, 550.0),
+)
+@example(lo=0.0, span=10.0, step=1.0, x_tol=0.01, offset=0.0)  # c == lo
+@example(lo=0.0, span=10.0, step=1.0, x_tol=0.01, offset=10.0)  # c == hi
+@example(lo=0.0, span=10.0, step=3.0, x_tol=0.01, offset=10.0)  # c == hi, short last step
+@example(lo=0.5, span=0.5, step=0.1, x_tol=1.0, offset=0.5)  # march ends one ulp below hi
+def test_find_zero_crossing_none_crossing_or_censored(lo, span, step, x_tol, offset):
+    hi = lo + span
+    c = lo + offset
+    x = find_zero_crossing(lambda l: c - l, lo, hi, step, x_tol=x_tol)
+    assert (x is None) == (c <= lo)
+    assert (x == hi) == (c > hi)
+    if lo < c <= hi:
+        assert x < hi
+        assert abs(x - c) <= x_tol
+
+
+def test_find_zero_crossing_stops_on_adjacent_floats():
+    x = find_zero_crossing(lambda l: 1e6 - l, 0.0, 2e6, 1e5, x_tol=1e-300)
+    assert x == pytest.approx(1e6, rel=1e-15)
+
+
+def test_max_secure_distance_evaluates_zero_km_once():
+    lengths = []
+
+    def curve(l):
+        lengths.append(l)
+        return 90.0 - l
+
+    assert max_secure_distance(curve) == pytest.approx(90.0, abs=0.01)
+    assert lengths.count(0.0) == 1
