@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 from scipy.optimize import linprog
 
 from .model import (
@@ -379,7 +378,6 @@ def adversary_oracle(
     intensities: ProtocolIntensities,
     i_max: int = 10,
     gain_tol: float = 1e-10,
-    e1_resolution: float = 1e-6,
 ) -> OracleResult:
     """Search the truncated channels {Y_i, e_i Y_i} matching the data.
 
@@ -388,77 +386,54 @@ def adversary_oracle(
     the truncated sums must match Q_s e^s and E_s Q_s e^s within
     gain_tol plus the Poisson tail mass above i_max (yields above the
     cutoff can contribute at most that much).  Returns the smallest
-    feasible Y_1 and the largest feasible e_1 = b_1 / Y_1, the latter by
-    bisection on the ratio with an LP feasibility check per step.
+    feasible Y_1, and the largest feasible e_1 = b_1 / Y_1 from one LP in
+    Charnes-Cooper form: with t = 1/Y_1, maximize t b_1 subject to
+    t Y_1 = 1 and every constraint scaled by t.  If no feasible channel
+    has Y_1 > 0, e1_max is the vacuous 1.
 
     A sound estimator must give y1_lower <= y1_min and e1_upper >= e1_max.
     """
     if i_max < 3:
         raise ValidationError(f"i_max must be >= 3, got {i_max}")
-    if gain_tol <= 0.0:
-        raise ValidationError("gain_tol must be positive")
+    if not 0.0 < gain_tol < math.inf:
+        raise ValidationError(f"gain_tol must be finite and > 0, got {gain_tol}")
 
     sources = [(intensities.mu, obs.q_mu, obs.e_mu), (intensities.nu1, obs.q_nu1, obs.e_nu1)]
     if obs.has_second_decoy:
         sources.append((intensities.nu2, obs.q_nu2, obs.e_nu2))
 
+    # Rows over the columns Y_0..Y_imax, b_0..b_imax and a scale t, each
+    # read as row . x <= 0.  With t = 1 they are the constraints on the
+    # channel; the e1_max LP keeps t as the variable 1/Y_1.
     n = i_max + 1
+    t = 2 * n
     rows = []
-    gains = []
-    slacks = []
-    for s, q, e in sources:
-        coeff = np.array([s**i / math.factorial(i) for i in range(n)])
-        tail = poisson_tail(s, i_max) * math.exp(s)  # un-normalized tail mass
-        rows.append(coeff)
-        gains.append((q * math.exp(s), e * q * math.exp(s)))
-        slacks.append(tail + gain_tol)
+    for offset in (0, n):  # gains on Y, then error gains on b
+        for s, q, e in sources:
+            target = (e * q if offset else q) * math.exp(s)
+            slack = poisson_tail(s, i_max) * math.exp(s) + gain_tol  # un-normalized tail mass + tol
+            coeff = [0.0] * t
+            coeff[offset:offset + n] = [s**i / math.factorial(i) for i in range(n)]
+            # two-sided window target - slack <= sum <= target + gain_tol
+            rows.append(coeff + [-(target + gain_tol)])
+            rows.append([-x for x in coeff] + [target - slack])
 
-    def window_rows(values, idx_offset, a_ub, b_ub):
-        # two-sided |sum - target| <= slack as a pair of inequality rows
-        for coeff, (g, j), slack in zip(rows, gains, slacks):
-            target = values(g, j)
-            row = np.zeros(2 * n)
-            row[idx_offset:idx_offset + n] = coeff
-            a_ub.append(row)
-            b_ub.append(target + gain_tol)
-            a_ub.append(-row)
-            b_ub.append(-(target - slack))
+    def unit_row(plus, minus):
+        row = [0.0] * (t + 1)
+        row[plus], row[minus] = 1.0, -1.0
+        return row
 
-    a_ub: list = []
-    b_ub: list = []
-    window_rows(lambda g, j: g, 0, a_ub, b_ub)       # gain constraints on Y
-    window_rows(lambda g, j: j, n, a_ub, b_ub)       # error-gain constraints on b
-    for i in range(n):                               # b_i <= Y_i
-        row = np.zeros(2 * n)
-        row[n + i] = 1.0
-        row[i] = -1.0
-        a_ub.append(row)
-        b_ub.append(0.0)
-    a_ub = np.array(a_ub)
-    b_ub = np.array(b_ub)
-    var_bounds = [(0.0, 1.0)] * (2 * n)
+    rows += [unit_row(n + i, i) for i in range(n)]  # b_i <= Y_i
+    rows += [unit_row(i, t) for i in range(n)]  # Y_i <= t, so b_i <= t too
 
-    def solve(c):
-        return linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=var_bounds, method="highs")
-
-    c_min_y1 = np.zeros(2 * n)
-    c_min_y1[1] = 1.0
-    res = solve(c_min_y1)
+    # min Y_1 at t = 1, its column moved to the right-hand side
+    res = linprog([float(j == 1) for j in range(t)], A_ub=[row[:t] for row in rows],
+                  b_ub=[-row[t] for row in rows], bounds=(0.0, None), method="highs")
     if not res.success:
         return OracleResult(feasible=False, y1_min=None, e1_max=None)
-    y1_min = float(res.fun)
-
-    # largest b1/Y1: bisection on t, asking whether b1 - t*Y1 >= 0 is
-    # achievable (b_i <= Y_i already restricts the ratio to [0, 1])
-    lo, hi = 0.0, 1.0
-    while hi - lo > e1_resolution:
-        t = 0.5 * (lo + hi)
-        c = np.zeros(2 * n)
-        c[1] = t
-        c[n + 1] = -1.0
-        res_t = solve(c)
-        if res_t.success and -res_t.fun >= 0.0:
-            lo = t
-        else:
-            hi = t
-    return OracleResult(feasible=True, y1_min=y1_min, e1_max=lo)
+    # max t b_1 with t Y_1 = 1: the columns now hold t Y and t b
+    ratio = linprog([-float(j == n + 1) for j in range(t + 1)], A_ub=rows,
+                    b_ub=[0.0] * len(rows), method="highs",
+                    bounds=[(0.0, None), (1.0, 1.0)] + [(0.0, None)] * (t - 1))
+    e1_max = -ratio.fun if ratio.success else 1.0
+    return OracleResult(feasible=True, y1_min=float(res.fun), e1_max=float(e1_max))

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from decoyqkd import bounds
 from decoyqkd.bounds import (
     ProtocolIntensities,
     adversary_oracle,
@@ -381,6 +382,29 @@ def test_oracle_squeezes_to_equality_on_two_photon_channel():
     assert res.y1_min == pytest.approx(y1c, rel=1e-4)
 
 
+@pytest.mark.parametrize("mu, nu1", [(0.6, 0.1), (0.5, 0.2), (0.7, 0.05)])
+def test_oracle_e1_max_is_tight_on_two_photon_channel(mu, nu1):
+    # e1c is consistent with the data, and the exact estimator shows no
+    # consistent channel exceeds it, so the largest e1 is e1c itself
+    obs, _, e1c = tight_channel_observations(mu, nu1)
+    res = adversary_oracle(obs, ProtocolIntensities(mu=mu, nu1=nu1, nu2=0.0))
+    assert res.e1_max == pytest.approx(e1c, rel=1e-5)
+
+
+def test_oracle_solves_one_lp_per_extreme(monkeypatch):
+    solve = bounds.linprog
+    calls = []
+    monkeypatch.setattr(bounds, "linprog", lambda *a, **k: calls.append(a) or solve(*a, **k))
+    obs = observe(ETA_40KM, 0.48, 0.12)
+    assert adversary_oracle(obs, ProtocolIntensities(mu=0.48, nu1=0.12, nu2=0.0)).feasible
+    assert len(calls) == 2  # min Y1, then max e1
+    impossible = ObservedRates(q_mu=1e-6, e_mu=0.03, q_nu1=1e-6, e_nu1=0.03,
+                               q_nu2=0.9, e_nu2=0.5)
+    calls.clear()
+    assert not adversary_oracle(impossible, ProtocolIntensities(mu=0.5, nu1=0.1, nu2=0.0)).feasible
+    assert len(calls) == 1
+
+
 def test_oracle_flags_inconsistent_observations():
     # a bright vacuum gain forces Y0 = 0.9, which the signal gain forbids
     impossible = ObservedRates(q_mu=1e-6, e_mu=0.03, q_nu1=1e-6, e_nu1=0.03,
@@ -398,3 +422,6 @@ def test_oracle_validates_arguments():
         adversary_oracle(obs, ints, i_max=2)
     with pytest.raises(ValidationError):
         adversary_oracle(obs, ints, gain_tol=0.0)
+    for gain_tol in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="gain_tol"):
+            adversary_oracle(obs, ints, gain_tol=gain_tol)
