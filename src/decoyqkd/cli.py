@@ -258,6 +258,8 @@ def cmd_scan(args) -> None:
         points = fluct_mod.scan_distance_fluct(
             params, mu, args.n_pulses, grid, u_alpha=args.u_alpha, estimator=args.estimator
         )
+        for p in points:
+            _require_counts(args.n_pulses, p.low_count_observables, p.length_km)
         with _csv_out(args.out) as w:
             _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"),
                   [(p.length_km, p.rate_lower, p.nu, p.n_signal, p.n_decoy1,
@@ -275,6 +277,17 @@ def cmd_scan(args) -> None:
     _print_reach("max_distance_km", rate_mod.max_secure_distance(fn))
 
 
+def _require_counts(n_pulses: float, low_count_observables: Sequence[str],
+                    length_km: float) -> None:
+    """Reject an optimum whose confidence bands rest on too few expected events."""
+    if low_count_observables:
+        raise ValidationError(
+            f"--n-pulses {n_pulses:g} leaves fewer than {fluct_mod.LOW_COUNT_FLOOR:g} "
+            f"expected events for {', '.join(low_count_observables)} at {length_km:g} km, "
+            "too few for a confidence band"
+        )
+
+
 def cmd_fluct_optimize(args) -> None:
     params = _params_from(args)
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
@@ -283,12 +296,7 @@ def cmd_fluct_optimize(args) -> None:
         params, eta, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator
     )
     alloc, fb = res.alloc, res.result
-    if fb.low_count_observables:
-        raise ValidationError(
-            f"--n-pulses {args.n_pulses:g} leaves fewer than {fluct_mod.LOW_COUNT_FLOOR:g} "
-            f"expected events for {', '.join(fb.low_count_observables)}, "
-            "too few for a confidence band"
-        )
+    _require_counts(args.n_pulses, fb.low_count_observables, args.length)
     print(f"l_km = {args.length:.2f}")
     print(f"mu = {mu:.6f}")
     print(f"eta = {eta:.6e}")

@@ -31,11 +31,20 @@ from .model import (
     ObservedRates,
     ValidationError,
     _unpack_intensities,
+    overall_gain,
+    overall_qber,
     simulate_observations,
     transmittance,
 )
 from .numerics import SearchConfig, find_zero_crossing, maximize_scalar
-from .rate import ESTIMATORS, VACUUM_WEAK, get_estimator, rate_from_estimate
+from .rate import (
+    ESTIMATORS,
+    VACUUM_WEAK,
+    KeyRateInputs,
+    binary_entropy,
+    get_estimator,
+    rate_from_estimate,
+)
 from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
 LOW_COUNT_FLOOR = 50.0  # below this many expected events the band is dubious
@@ -114,29 +123,32 @@ def perturb_observations(
     """
     if vacuum_gain_direction not in (+1, -1):
         raise ValidationError("vacuum_gain_direction must be +1 or -1")
-    if alloc.u_alpha == 0.0:
+    u = alloc.u_alpha
+    if u == 0.0:
         return obs
 
-    def band(name: str, n_pulses: float, value: float) -> float:
-        count = n_pulses * value
-        if count <= 0.0:
-            raise InsufficientDataError(
-                f"no expected events for {name}: {n_pulses} pulses at rate {value}"
-            )
-        return alloc.u_alpha / math.sqrt(count)
-
-    q1 = obs.q_nu1 * (1.0 - band("q_nu1", alloc.n_decoy1, obs.q_nu1))
+    q1 = obs.q_nu1 * (1.0 - _band(u, "q_nu1", alloc.n_decoy1, obs.q_nu1))
     q1 = max(q1, 0.0)
     eq1 = obs.e_nu1 * obs.q_nu1
-    eq1_up = eq1 * (1.0 + band("e_nu1*q_nu1", alloc.n_decoy1, eq1))
+    eq1_up = eq1 * (1.0 + _band(u, "e_nu1*q_nu1", alloc.n_decoy1, eq1))
     e1 = min(eq1_up / q1, 1.0) if q1 > 0.0 else 1.0
 
     q2 = obs.q_nu2
     if obs.has_second_decoy:
-        delta0 = band("q_nu2", alloc.n_decoy2, q2)
+        delta0 = _band(u, "q_nu2", alloc.n_decoy2, q2)
         q2 = min(max(q2 * (1.0 + vacuum_gain_direction * delta0), 0.0), 1.0)
     return ObservedRates(q_mu=obs.q_mu, e_mu=obs.e_mu, q_nu1=q1, e_nu1=e1,
                          q_nu2=q2, e_nu2=obs.e_nu2)
+
+
+def _band(u_alpha: float, name: str, n_pulses: float, value: float) -> float:
+    """u_alpha relative standard errors of an observable with n_pulses * value expected events."""
+    count = n_pulses * value
+    if count <= 0.0:
+        raise InsufficientDataError(
+            f"no expected events for {name}: {n_pulses} pulses at rate {value}"
+        )
+    return u_alpha / math.sqrt(count)
 
 
 def _low_counts(obs: ObservedRates, alloc: DataAllocation, with_vacuum: bool) -> Tuple[str, ...]:
@@ -168,11 +180,23 @@ def fluctuated_bounds(
     if nu2 not in (None, 0.0):
         raise ValidationError("fluctuation analysis expects the second decoy to be vacuum")
 
-    row, ints, obs = _observe(params, eta, row, mu, nu, alloc)
-    use_vacuum = row.observes == VACUUM_WEAK
-    rate_hat, est_hat = _worst_case(row, obs, ints, alloc, params.f_ec)
+    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
+    if not use_vacuum:
+        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
+    ints = row.intensities(mu, nu)
+    obs = simulate_observations(params, eta, ints)
+    q = alloc.q
+    f_ec = params.f_ec
+
+    # the vacuum gain's worst direction differs for Y1 and e1: try both
+    candidates = []
+    for direction in (+1, -1) if use_vacuum else (+1,):
+        est = row.estimate(perturb_observations(obs, alloc, direction), ints)
+        candidates.append((rate_from_estimate(obs, est, q, f_ec), est))
+    rate_hat, est_hat = min(candidates, key=lambda c: c[0])
+
     est_plain = row.estimate(obs, ints)
-    rate_plain = rate_from_estimate(obs, est_plain, alloc.q, params.f_ec)
+    rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
     betas = _quadrature_betas(obs, alloc, mu, nu, use_vacuum, est_plain)
     beta_r = 0.0
     if rate_plain > 0.0:
@@ -190,30 +214,100 @@ def fluctuated_bounds(
     )
 
 
-def _observe(params: ExperimentParams, eta: float, row, mu: float, nu: float,
-             alloc: DataAllocation):
-    """The row that applies to ``alloc``, its intensities and their observations."""
-    if not (row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0):
-        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
-    ints = row.intensities(mu, nu)
-    return row, ints, simulate_observations(params, eta, ints)
+def _objective(params: ExperimentParams, eta: float, row, mu: float, n_total: float,
+               u_alpha: float):
+    """The allocation search's objective: f(nu, w1, w2) = fluctuated_bounds(...).rate_lower.
 
+    f(nu, w1, w2) equals fluctuated_bounds(params, eta, (mu, nu, 0.0),
+    _make_alloc(n_total, w1, w2, u_alpha), row.name).rate_lower bit for
+    bit, which the tests check: it performs the float operations of
+    simulate_observations, perturb_observations, the estimator and
+    key_rate_strong in their order, without building their objects.
+    Everything that does not depend on (nu, w1, w2) is computed and
+    checked here, once per search; f raises what that path raises, on the
+    same observable and in the same order.  The allocation checks of
+    DataAllocation hold by construction for the search's 0 < w1,
+    0 <= w2 and w1 + w2 <= _W_MAX.
+    """
+    if not 0.0 < n_total < math.inf:
+        raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError(f"mu must be finite and > 0, got {mu}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
+    if not 0.0 <= u_alpha < math.inf:
+        raise ValidationError(f"u_alpha must be finite and >= 0, got {u_alpha}")
+    q_mu = overall_gain(mu, params, eta)
+    e_mu = overall_qber(mu, params, eta)
+    for name, value in (("q_mu", q_mu), ("e_mu", e_mu)):
+        if not 0.0 <= value <= 1.0:
+            raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+    with_vacuum = row.observes == VACUUM_WEAK
+    if with_vacuum:
+        overall_qber(0.0, params, eta)  # raises on a zero vacuum gain
+    y0 = params.y0  # the background yield, and the vacuum decoy's gain exactly
 
-def _worst_case(row, obs: ObservedRates, ints, alloc: DataAllocation, f_ec: float):
-    """(rate, estimate) of the worse vacuum-gain direction of the shifted observations."""
-    # the vacuum gain's worst direction differs for Y1 and e1: try both
-    candidates = []
-    for direction in (+1, -1) if row.observes == VACUUM_WEAK else (+1,):
-        est = row.estimate(perturb_observations(obs, alloc, direction), ints)
-        candidates.append((rate_from_estimate(obs, est, alloc.q, f_ec), est))
-    return min(candidates, key=lambda c: c[0])
+    f_ec = params.f_ec
+    signal = -q_mu * f_ec * binary_entropy(e_mu)
+    q_mu_e_mu = q_mu * math.exp(mu)
+    e_minus_mu = math.exp(-mu)
+    mu2 = mu**2
+    two_n = 2.0 * n_total
+    neg_eta = -eta
+    e0_y0 = E0 * y0
+    e_det = params.e_detector
+    exp, expm1 = math.exp, math.expm1
 
+    def rate_lower(nu: float, w1: float, w2: float) -> float:
+        n1 = w1 * n_total
+        n2 = w2 * n_total
+        q = (n_total - n1 - n2) / two_n
+        # simulate_observations at nu
+        x = expm1(neg_eta * nu)
+        q_nu1 = y0 - x
+        if q_nu1 <= 0.0:
+            raise ValidationError("QBER undefined: overall gain is zero")
+        e_nu1 = (e0_y0 + e_det * -x) / q_nu1
+        if not (q_nu1 <= 1.0 and 0.0 <= e_nu1 <= 1.0):
+            ObservedRates(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1)  # raises its message
+        # perturb_observations; the one-decoy trial is the vacuum+weak algebra at Y0 = 0
+        vacuum = with_vacuum and n2 > 0.0
+        q1, e1 = q_nu1, e_nu1
+        y0_hats = (y0 if vacuum else 0.0,)  # without bands both directions coincide
+        if u_alpha != 0.0:
+            q1 = max(q_nu1 * (1.0 - _band(u_alpha, "q_nu1", n1, q_nu1)), 0.0)
+            eq1 = e_nu1 * q_nu1
+            eq1_up = eq1 * (1.0 + _band(u_alpha, "e_nu1*q_nu1", n1, eq1))
+            e1 = min(eq1_up / q1, 1.0) if q1 > 0.0 else 1.0
+            if vacuum:
+                delta0 = _band(u_alpha, "q_nu2", n2, y0)
+                y0_hats = (min(max(y0 * (1.0 + delta0), 0.0), 1.0),
+                           min(max(y0 * (1.0 - delta0), 0.0), 1.0))
+        # the estimator and key_rate_strong, once per vacuum-gain direction
+        if not 0.0 < nu < mu:
+            raise ValidationError(f"need 0 < nu < mu, got mu={mu}, nu={nu}")
+        ex_nu = exp(nu)
+        scale = mu / (nu * (mu - nu))
+        nu2_mu2 = nu**2 / mu2
+        q1_ex_nu = q1 * ex_nu
+        eq1_ex_nu = e1 * q1 * ex_nu
+        worst = None
+        for y0_hat in y0_hats:
+            y1 = max(scale * (q1_ex_nu - y0_hat - nu2_mu2 * (q_mu_e_mu - y0_hat)), 0.0)
+            e1_upper = 0.5
+            if y1 > 0.0:
+                e1_upper = min(max((eq1_ex_nu - E0 * y0_hat) / (y1 * nu), 0.0), 0.5)
+            # (y1 * mu) * e^-mu, as the estimators round it; y1 * (mu * e^-mu) differs
+            q1_lower = y1 * mu * e_minus_mu
+            if not (0.0 <= q1_lower < math.inf and 0.0 <= e1_upper <= 1.0):
+                KeyRateInputs(q=q, q_mu=q_mu, e_mu=e_mu, q1_lower=q1_lower,
+                              e1_upper=e1_upper, f_ec=f_ec)  # raises its message
+            rate = q * (signal + q1_lower * (1.0 - binary_entropy(e1_upper)))
+            if worst is None or rate < worst:  # min() keeps the +1 direction on ties
+                worst = rate
+        return worst
 
-def _rate_lower(params: ExperimentParams, eta: float, row, mu: float, nu: float,
-                alloc: DataAllocation) -> float:
-    """fluctuated_bounds(...).rate_lower alone: the allocation search's objective."""
-    row, ints, obs = _observe(params, eta, row, mu, nu, alloc)
-    return _worst_case(row, obs, ints, alloc, params.f_ec)[0]
+    return rate_lower
 
 
 def _quadrature_betas(
@@ -226,7 +320,8 @@ def _quadrature_betas(
 ) -> Tuple[float, float, float]:
     """u_alpha times propagated relative standard errors of Y0, Y1, e1."""
     u = alloc.u_alpha
-    if est_plain.y1_lower <= 0.0:
+    # no weak-decoy events (reachable only at u_alpha = 0): unbounded relative errors
+    if est_plain.y1_lower <= 0.0 or alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1 <= 0.0:
         beta_y0 = u / math.sqrt(alloc.n_decoy2 * obs.q_nu2) if use_vacuum else 0.0
         return beta_y0, math.inf, math.inf
 
@@ -321,11 +416,7 @@ def _search(
     """
     row = get_estimator(estimator, finite_size=True)
     with_vacuum = row.observes == VACUUM_WEAK
-    if not 0.0 < n_total < math.inf:
-        raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
-    if not 0.0 < mu < math.inf:
-        raise ValidationError(f"mu must be finite and > 0, got {mu}")
-
+    rate_lower = _objective(params, eta, row, mu, n_total, u_alpha)
     nu_hi = 0.999 * mu
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
@@ -333,9 +424,8 @@ def _search(
             return -1.0
         if w1 <= 0.0 or w1 + w2 > _W_MAX or w2 < 0.0:
             return -1.0
-        alloc = _make_alloc(n_total, w1, w2, u_alpha)
         try:
-            rate = _rate_lower(params, eta, row, mu, nu, alloc)
+            rate = rate_lower(nu, w1, w2)
         except InsufficientDataError:
             return -1.0
         if stop_if_positive and rate > 0.0:
@@ -422,6 +512,7 @@ class ScanPoint:
     n_decoy1: float
     n_decoy2: float
     key_bits: float
+    low_count_observables: Tuple[str, ...] = ()
 
 
 def scan_distance_fluct(
@@ -448,6 +539,7 @@ def scan_distance_fluct(
             n_decoy1=res.alloc.n_decoy1,
             n_decoy2=res.alloc.n_decoy2,
             key_bits=res.result.key_bits_lower,
+            low_count_observables=res.result.low_count_observables,
         ))
         warm = (res.nu, res.alloc.n_decoy1 / n_total, res.alloc.n_decoy2 / n_total)
         seeds = (warm,) + _DEFAULT_SEEDS

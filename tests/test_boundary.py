@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import cli
-from decoyqkd.fluct import DataAllocation, optimize_allocation
+from decoyqkd.fluct import DataAllocation, max_distance_fluct, optimize_allocation
 from decoyqkd.model import GYS, ValidationError, transmittance
 from decoyqkd.rate import (
     KeyRateInputs,
@@ -100,6 +100,26 @@ def test_optimize_allocation_rejects_mu_and_budget(field, value):
     args = {"mu": 0.48, "n_total": 6.0e9, field: value}
     with pytest.raises(ValidationError, match=field):
         optimize_allocation(GYS, ETA_100KM, args["mu"], args["n_total"])
+
+
+NEGATIVE = st.floats(max_value=-math.ulp(0.0))
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(NON_FINITE), NEGATIVE))
+def test_allocation_search_rejects_u_alpha(value):
+    with pytest.raises(ValidationError, match="u_alpha"):
+        optimize_allocation(GYS, ETA_100KM, 0.48, 6.0e9, u_alpha=value)
+    with pytest.raises(ValidationError, match="u_alpha"):
+        max_distance_fluct(GYS, 0.48, 6.0e9, u_alpha=value)
+
+
+@PROPERTY
+@given(st.one_of(st.sampled_from(NON_FINITE), NEGATIVE,
+                 st.floats(min_value=math.nextafter(1.0, 2.0))))
+def test_optimize_allocation_rejects_eta_outside_unit_interval(eta):
+    with pytest.raises(ValidationError, match="eta"):
+        optimize_allocation(GYS, eta, 0.48, 6.0e9)
 
 
 # the required arguments of each subcommand, so only the option under test is bad

@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through cli.main."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,20 @@ def test_reproduce_deviation_curves(tmp_path, capsys):
     assert "nu/mu=0.25" in out
 
 
+# CSVs written by `decoyqkd reproduce <target> --out` before the search's
+# objective became a fused float kernel; any drift in the finite-size
+# path shows up here byte for byte
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("target", ["table2", "fig3", "fig4", "fig5", "fig6"])
+def test_reproduce_csv_is_byte_identical_to_golden(tmp_path, capsys, target):
+    out_path = tmp_path / f"{target}.csv"
+    code, _, _ = run(capsys, "reproduce", target, "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == (GOLDEN / f"{target}.csv").read_bytes()
+
+
 def test_reproduce_rejects_unknown_target(capsys):
     with pytest.raises(SystemExit):
         cli.main(["reproduce", "fig9"])
@@ -174,11 +189,21 @@ def test_fluct_optimize_rejects_a_budget_with_low_counts(capsys):
     assert out == ""
 
 
+def test_scan_rejects_a_budget_with_low_counts(capsys):
+    # every evaluation is 0 or -1 at this budget, so the search would
+    # report its first seed as the optimum at every length
+    code, out, err = run(capsys, "scan", "--n-pulses", "1e4", "--steps", "3", "--l-max", "40")
+    assert code == 2
+    assert "--n-pulses" in err
+    assert "at 0 km" in err
+    assert out == ""
+
+
 LOW_LOSS_LINK = "alpha = 0.02\ne_detector = 0.01\ny0 = 1e-7\neta_bob = 0.5\n"
 
 
 @pytest.mark.parametrize("link, extra, line", [
-    (None, ("--n-pulses", "1e4", "--l-max", "40"),
+    (None, ("--f-ec", "4", "--mu", "0.48", "--n-pulses", "1e10", "--l-max", "40"),
      "max_distance_km = none (rate never positive)"),
     (LOW_LOSS_LINK, (),
      "max_distance_km = >= 500.00 (rate still positive at the search limit)"),
