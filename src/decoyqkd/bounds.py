@@ -28,10 +28,9 @@ All bounds are floored/capped at their vacuous values (Y1 at 0, e1 at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
-
-from scipy.optimize import linprog
 
 from .model import (
     E0,
@@ -426,6 +425,7 @@ def adversary_oracle(
     rows += [unit_row(n + i, i) for i in range(n)]  # b_i <= Y_i
     rows += [unit_row(i, t) for i in range(n)]  # Y_i <= t, so b_i <= t too
 
+    linprog = sys.modules[__name__].linprog  # the module attribute, so a patch sees every LP
     # min Y_1 at t = 1, its column moved to the right-hand side
     res = linprog([float(j == 1) for j in range(t)], A_ub=[row[:t] for row in rows],
                   b_ub=[-row[t] for row in rows], bounds=(0.0, None), method="highs")
@@ -437,3 +437,13 @@ def adversary_oracle(
                     bounds=[(0.0, None), (1.0, 1.0)] + [(0.0, None)] * (t - 1))
     e1_max = -ratio.fun if ratio.success else 1.0
     return OracleResult(feasible=True, y1_min=float(res.fun), e1_max=float(e1_max))
+
+
+def __getattr__(name: str):
+    """Import scipy's ``linprog`` on first use: only the oracle needs scipy."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+
+    globals()["linprog"] = linprog
+    return linprog

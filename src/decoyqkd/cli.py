@@ -258,12 +258,14 @@ def cmd_scan(args) -> None:
         points = fluct_mod.scan_distance_fluct(
             params, mu, args.n_pulses, grid, u_alpha=args.u_alpha, estimator=args.estimator
         )
+        rows = []
         for p in points:
             _require_counts(args.n_pulses, p.low_count_observables, p.length_km)
+            # where no allocation gives a positive rate, none is an optimum
+            alloc = (p.nu, p.n_signal, p.n_decoy1, p.n_decoy2) if p.rate_lower > 0.0 else ("",) * 4
+            rows.append((p.length_km, p.rate_lower, *alloc, p.key_bits))
         with _csv_out(args.out) as w:
-            _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"),
-                  [(p.length_km, p.rate_lower, p.nu, p.n_signal, p.n_decoy1,
-                    p.n_decoy2, p.key_bits) for p in points])
+            _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"), rows)
         l_hi = max(args.l_max, fluct_mod.REACH_LIMIT_KM)
         dmax = fluct_mod.max_distance_fluct(
             params, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator, l_hi=l_hi
@@ -297,6 +299,10 @@ def cmd_fluct_optimize(args) -> None:
     )
     alloc, fb = res.alloc, res.result
     _require_counts(args.n_pulses, fb.low_count_observables, args.length)
+    if not fb.rate_lower > 0.0:
+        raise ValidationError(
+            f"no allocation gives a positive key rate at --length {args.length:g} km"
+        )
     print(f"l_km = {args.length:.2f}")
     print(f"mu = {mu:.6f}")
     print(f"eta = {eta:.6e}")

@@ -405,6 +405,21 @@ def test_oracle_solves_one_lp_per_extreme(monkeypatch):
     assert len(calls) == 1
 
 
+def test_linprog_is_scipys_loaded_through_the_module_hook(monkeypatch):
+    from scipy.optimize import linprog as scipy_linprog
+
+    monkeypatch.delitem(vars(bounds), "linprog", raising=False)  # as before the first oracle call
+    from decoyqkd.bounds import linprog
+
+    assert linprog is scipy_linprog
+    assert bounds.linprog is scipy_linprog
+
+
+def test_unknown_bounds_attribute_still_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(bounds, "no_such_name")
+
+
 def test_oracle_flags_inconsistent_observations():
     # a bright vacuum gain forces Y0 = 0.9, which the signal gain forbids
     impossible = ObservedRates(q_mu=1e-6, e_mu=0.03, q_nu1=1e-6, e_nu1=0.03,

@@ -1,6 +1,10 @@
-"""Command-line interface tests, run in-process through cli.main."""
+"""Command-line interface tests, run in-process through cli.main, and in a fresh
+interpreter where the entry point or the modules loaded are under test."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +16,14 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports decoyqkd from the tested source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def test_no_command_prints_help_and_fails(capsys):
@@ -122,6 +134,60 @@ def test_fluct_optimize_report(capsys):
         assert key in fields, key
     assert float(fields["R_L"]) > 0.0
     assert float(fields["nu_opt"]) < float(fields["mu"])
+
+
+def test_fluct_optimize_rejects_a_length_with_no_positive_rate(capsys):
+    # every evaluation is max(R, 0) = 0 here, so the search's winner would
+    # only be its first seed
+    code, out, err = run(capsys, "fluct-optimize", "--f-ec", "4", "--mu", "0.48",
+                         "--n-pulses", "1e10", "--length", "20")
+    assert code == 2
+    assert "no allocation gives a positive key rate at --length 20 km" in err
+    assert out == ""
+
+
+def test_scan_leaves_the_allocation_empty_where_the_rate_is_not_positive(capsys):
+    code, out, _ = run(capsys, "scan", "--n-pulses", "6e9", "--steps", "4", "--l-max", "150")
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines()[:5])
+    assert header == ["l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"]
+    assert [row[0] for row in rows] == ["0", "50", "100", "150"]
+    for row in rows:
+        positive = float(row[1]) > 0.0
+        assert all((cell != "") == positive for cell in row[2:6]), row
+        assert float(row[6]) >= 0.0
+    assert float(rows[-1][1]) < 0.0
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_python("-m", "decoyqkd", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: decoyqkd")
+    proc = run_python("-m", "decoyqkd", "reproduce", "table2")
+    assert proc.returncode == 0, proc.stderr
+    assert "nu_opt = 0.1206" in proc.stdout
+
+
+IMPORT_GUARD = """
+import sys
+import decoyqkd
+from decoyqkd import bounds, cli
+
+def loaded(*names):
+    return sorted(m for m in sys.modules if m.split(".")[0] in names)
+
+assert cli.main(["reproduce", "table2"]) == 0
+assert not hasattr(bounds, "no_such_name")
+assert loaded("scipy", "numpy") == [], loaded("scipy", "numpy")
+obs = decoyqkd.simulate_observations(decoyqkd.GYS, 1e-3, (0.48, 0.12, 0.0))
+assert bounds.adversary_oracle(obs, bounds.ProtocolIntensities(mu=0.48, nu1=0.12)).feasible
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_loads_on_the_oracles_first_call():
+    proc = run_python("-c", IMPORT_GUARD)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_reproduce_deviation_curves(tmp_path, capsys):
