@@ -105,15 +105,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", default="vacuum-weak", choices=tuple(rate_mod.ESTIMATORS))
     p.add_argument("--mu", type=_finite, default=None,
                    help="signal intensity (default: the optimal-mu root)")
-    p.add_argument("--nu1", type=_finite, default=CURVE_NU)
-    p.add_argument("--nu2", type=_finite, default=0.0)
+    # unset unless given, so that cmd_scan can reject what its branch does not read
+    p.add_argument("--nu1", type=_finite, default=argparse.SUPPRESS, help=f"default {CURVE_NU:g}")
+    p.add_argument("--nu2", type=_finite, default=argparse.SUPPRESS, help="default 0")
     p.add_argument("--l-min", type=_finite, default=0.0)
     p.add_argument("--l-max", type=_finite, default=160.0)
     p.add_argument("--steps", type=int, default=33)
     p.add_argument("--n-pulses", type=_finite, default=None,
                    help="run the finite-statistics optimized scan with this pulse budget")
-    p.add_argument("--u-alpha", type=_finite, default=10.0)
-    p.add_argument("--efficient-bb84", action="store_true")
+    p.add_argument("--u-alpha", type=_finite, default=argparse.SUPPRESS, help="default 10")
+    p.add_argument("--efficient-bb84", action="store_true", default=argparse.SUPPRESS)
     p.add_argument("--out", default=None, help="CSV destination (default: stdout)")
     p.set_defaults(func=cmd_scan)
 
@@ -251,12 +252,19 @@ def _grid(lo: float, hi: float, steps: int):
 
 
 def cmd_scan(args) -> None:
+    finite = args.n_pulses is not None
+    unread = ("nu1", "nu2", "efficient_bb84") if finite else ("u_alpha",)
+    given = ["--" + dest.replace("_", "-") for dest in unread if dest in vars(args)]
+    if given:
+        branch = "scan --n-pulses" if finite else "scan without --n-pulses"
+        raise ValidationError(f"{branch} does not read {', '.join(given)}")
     params = _params_from(args)
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
     grid = _grid(args.l_min, args.l_max, args.steps)
-    if args.n_pulses is not None:
+    if finite:
+        u_alpha = getattr(args, "u_alpha", 10.0)
         points = fluct_mod.scan_distance_fluct(
-            params, mu, args.n_pulses, grid, u_alpha=args.u_alpha, estimator=args.estimator
+            params, mu, args.n_pulses, grid, u_alpha=u_alpha, estimator=args.estimator
         )
         rows = []
         for p in points:
@@ -268,12 +276,13 @@ def cmd_scan(args) -> None:
             _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"), rows)
         l_hi = max(args.l_max, fluct_mod.REACH_LIMIT_KM)
         dmax = fluct_mod.max_distance_fluct(
-            params, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator, l_hi=l_hi
+            params, mu, args.n_pulses, u_alpha=u_alpha, estimator=args.estimator, l_hi=l_hi
         )
         _print_reach("max_distance_km", dmax, l_hi)
         return
-    q = 1.0 if args.efficient_bb84 else 0.5
-    fn = _noiseless_rate_fn(params, args.estimator, mu, args.nu1, args.nu2, q)
+    q = 1.0 if getattr(args, "efficient_bb84", False) else 0.5
+    fn = _noiseless_rate_fn(params, args.estimator, mu, getattr(args, "nu1", CURVE_NU),
+                            getattr(args, "nu2", 0.0), q)
     with _csv_out(args.out) as w:
         _emit(w, ("l_km", "rate_per_pulse"), [(l, fn(l)) for l in grid])
     _print_reach("max_distance_km", rate_mod.max_secure_distance(fn))

@@ -37,14 +37,7 @@ from .model import (
     transmittance,
 )
 from .numerics import SearchConfig, find_zero_crossing, maximize_scalar
-from .rate import (
-    ESTIMATORS,
-    VACUUM_WEAK,
-    KeyRateInputs,
-    binary_entropy,
-    get_estimator,
-    rate_from_estimate,
-)
+from .rate import ESTIMATORS, VACUUM_WEAK, KeyRateInputs, binary_entropy, get_estimator
 from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
 LOW_COUNT_FLOOR = 50.0  # below this many expected events the band is dubious
@@ -151,12 +144,12 @@ def _band(u_alpha: float, name: str, n_pulses: float, value: float) -> float:
     return u_alpha / math.sqrt(count)
 
 
-def _low_counts(obs: ObservedRates, alloc: DataAllocation, with_vacuum: bool) -> Tuple[str, ...]:
+def _low_counts(obs: ObservedRates, alloc: DataAllocation) -> Tuple[str, ...]:
     checks = [
         ("q_nu1", alloc.n_decoy1 * obs.q_nu1),
         ("e_nu1*q_nu1", alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1),
     ]
-    if with_vacuum and obs.has_second_decoy:
+    if obs.has_second_decoy:
         checks.append(("q_nu2", alloc.n_decoy2 * obs.q_nu2))
     return tuple(name for name, count in checks if count < LOW_COUNT_FLOOR)
 
@@ -183,60 +176,39 @@ def fluctuated_bounds(
     use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
     if not use_vacuum:
         row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
-    ints = row.intensities(mu, nu)
-    obs = simulate_observations(params, eta, ints)
-    q = alloc.q
-    f_ec = params.f_ec
-
-    # the vacuum gain's worst direction differs for Y1 and e1: try both
-    candidates = []
-    for direction in (+1, -1) if use_vacuum else (+1,):
-        est = row.estimate(perturb_observations(obs, alloc, direction), ints)
-        candidates.append((rate_from_estimate(obs, est, q, f_ec), est))
-    rate_hat, est_hat = min(candidates, key=lambda c: c[0])
-
-    est_plain = row.estimate(obs, ints)
-    rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
-    betas = _quadrature_betas(obs, alloc, mu, nu, use_vacuum, est_plain)
+    obs = simulate_observations(params, eta, row.intensities(mu, nu))
+    worst_case = _worst_case(params, eta, row, mu)
+    n1, n2, q = alloc.n_decoy1, alloc.n_decoy2, alloc.q
+    rate_hat, y1_hat, e1_hat = worst_case(nu, n1, n2, q, alloc.u_alpha)
+    rate_plain, y1_plain, e1_plain = worst_case(nu, n1, n2, q, 0.0)
+    betas = _quadrature_betas(obs, alloc, mu, nu, y1_plain, e1_plain)
     beta_r = 0.0
     if rate_plain > 0.0:
         beta_r = max(0.0, 1.0 - rate_hat / rate_plain)
     return FluctuatedBounds(
-        y1_hat_lower=est_hat.y1_lower,
-        e1_hat_upper=est_hat.e1_upper,
+        y1_hat_lower=y1_hat,
+        e1_hat_upper=e1_hat,
         rate_lower=rate_hat,
         key_bits_lower=max(rate_hat, 0.0) * alloc.n_total,
         beta_y0=betas[0],
         beta_y1=betas[1],
         beta_e1=betas[2],
         beta_r=beta_r,
-        low_count_observables=_low_counts(obs, alloc, use_vacuum),
+        low_count_observables=_low_counts(obs, alloc),
     )
 
 
-def _objective(params: ExperimentParams, eta: float, row, mu: float, n_total: float,
-               u_alpha: float):
-    """The allocation search's objective: f(nu, w1, w2) = fluctuated_bounds(...).rate_lower.
+def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
+    """f(nu, n1, n2, q, u_alpha) -> (R_hat, Y1_hat, e1_hat) of the worse vacuum-gain direction.
 
-    f(nu, w1, w2) equals fluctuated_bounds(params, eta, (mu, nu, 0.0),
-    _make_alloc(n_total, w1, w2, u_alpha), row.name).rate_lower bit for
-    bit, which the tests check: it performs the float operations of
-    simulate_observations, perturb_observations, the estimator and
-    key_rate_strong in their order, without building their objects.
-    Everything that does not depend on (nu, w1, w2) is computed and
-    checked here, once per search; f raises what that path raises, on the
-    same observable and in the same order.  The allocation checks of
-    DataAllocation hold by construction for the search's 0 < w1,
-    0 <= w2 and w1 + w2 <= _W_MAX.
+    The worst-case rate at one channel, for n1 weak-decoy and n2 vacuum
+    pulses, sifting factor q and a u_alpha-sigma band; the +1 direction
+    wins ties.  f performs the float operations of simulate_observations,
+    perturb_observations, ``row``'s estimator and key_rate_strong in their
+    order, without building their objects, and raises what that path
+    raises, on the same observable and in the same order.  What does not
+    depend on f's arguments is computed and checked here, once.
     """
-    if not 0.0 < n_total < math.inf:
-        raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
-    if not 0.0 < mu < math.inf:
-        raise ValidationError(f"mu must be finite and > 0, got {mu}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
-    if not 0.0 <= u_alpha < math.inf:
-        raise ValidationError(f"u_alpha must be finite and >= 0, got {u_alpha}")
     q_mu = overall_gain(mu, params, eta)
     e_mu = overall_qber(mu, params, eta)
     for name, value in (("q_mu", q_mu), ("e_mu", e_mu)):
@@ -252,16 +224,13 @@ def _objective(params: ExperimentParams, eta: float, row, mu: float, n_total: fl
     q_mu_e_mu = q_mu * math.exp(mu)
     e_minus_mu = math.exp(-mu)
     mu2 = mu**2
-    two_n = 2.0 * n_total
     neg_eta = -eta
     e0_y0 = E0 * y0
     e_det = params.e_detector
-    exp, expm1 = math.exp, math.expm1
+    exp, expm1, inf = math.exp, math.expm1, math.inf
 
-    def rate_lower(nu: float, w1: float, w2: float) -> float:
-        n1 = w1 * n_total
-        n2 = w2 * n_total
-        q = (n_total - n1 - n2) / two_n
+    def worst_case(nu: float, n1: float, n2: float, q: float,
+                   u_alpha: float) -> Tuple[float, float, float]:
         # simulate_observations at nu
         x = expm1(neg_eta * nu)
         q_nu1 = y0 - x
@@ -291,7 +260,7 @@ def _objective(params: ExperimentParams, eta: float, row, mu: float, n_total: fl
         nu2_mu2 = nu**2 / mu2
         q1_ex_nu = q1 * ex_nu
         eq1_ex_nu = e1 * q1 * ex_nu
-        worst = None
+        worst = y1_hat = e1_hat = None
         for y0_hat in y0_hats:
             y1 = max(scale * (q1_ex_nu - y0_hat - nu2_mu2 * (q_mu_e_mu - y0_hat)), 0.0)
             e1_upper = 0.5
@@ -299,15 +268,15 @@ def _objective(params: ExperimentParams, eta: float, row, mu: float, n_total: fl
                 e1_upper = min(max((eq1_ex_nu - E0 * y0_hat) / (y1 * nu), 0.0), 0.5)
             # (y1 * mu) * e^-mu, as the estimators round it; y1 * (mu * e^-mu) differs
             q1_lower = y1 * mu * e_minus_mu
-            if not (0.0 <= q1_lower < math.inf and 0.0 <= e1_upper <= 1.0):
+            if not (0.0 < q <= 1.0 and 0.0 <= q1_lower < inf and 0.0 <= e1_upper <= 1.0):
                 KeyRateInputs(q=q, q_mu=q_mu, e_mu=e_mu, q1_lower=q1_lower,
                               e1_upper=e1_upper, f_ec=f_ec)  # raises its message
             rate = q * (signal + q1_lower * (1.0 - binary_entropy(e1_upper)))
-            if worst is None or rate < worst:  # min() keeps the +1 direction on ties
-                worst = rate
-        return worst
+            if worst is None or rate < worst:  # the +1 direction, first, wins ties
+                worst, y1_hat, e1_hat = rate, y1, e1_upper
+        return worst, y1_hat, e1_hat
 
-    return rate_lower
+    return worst_case
 
 
 def _quadrature_betas(
@@ -315,20 +284,21 @@ def _quadrature_betas(
     alloc: DataAllocation,
     mu: float,
     nu: float,
-    use_vacuum: bool,
-    est_plain,
+    y1_plain: float,
+    e1_plain: float,
 ) -> Tuple[float, float, float]:
-    """u_alpha times propagated relative standard errors of Y0, Y1, e1."""
+    """u_alpha times propagated relative standard errors of Y0, Y1, e1, from unshifted bounds."""
+    use_vacuum = obs.has_second_decoy
     u = alloc.u_alpha
     # no weak-decoy events (reachable only at u_alpha = 0): unbounded relative errors
-    if est_plain.y1_lower <= 0.0 or alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1 <= 0.0:
+    if y1_plain <= 0.0 or alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1 <= 0.0:
         beta_y0 = u / math.sqrt(alloc.n_decoy2 * obs.q_nu2) if use_vacuum else 0.0
         return beta_y0, math.inf, math.inf
 
     d_qnu = 1.0 / math.sqrt(alloc.n_decoy1 * obs.q_nu1)
     d_eqnu = 1.0 / math.sqrt(alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1)
     prefactor = mu / ((mu - nu) * nu)
-    a_term = prefactor * obs.q_nu1 * math.exp(nu) / est_plain.y1_lower
+    a_term = prefactor * obs.q_nu1 * math.exp(nu) / y1_plain
 
     contrib_y1 = [(a_term * d_qnu) ** 2]
     beta_y0 = 0.0
@@ -337,12 +307,12 @@ def _quadrature_betas(
         y0 = obs.q_nu2
         d_y0 = 1.0 / math.sqrt(alloc.n_decoy2 * y0)
         beta_y0 = u * d_y0
-        c_term = prefactor * (mu**2 - nu**2) / mu**2 * y0 / est_plain.y1_lower
+        c_term = prefactor * (mu**2 - nu**2) / mu**2 * y0 / y1_plain
         contrib_y1.append((c_term * d_y0) ** 2)
         e_num = e_num - E0 * y0
     sig_y1 = math.sqrt(sum(contrib_y1))
 
-    if e_num <= 0.0 or est_plain.e1_upper <= 0.0:
+    if e_num <= 0.0 or e1_plain <= 0.0:
         return beta_y0, u * sig_y1, math.inf
     contrib_e1 = [
         (obs.e_nu1 * obs.q_nu1 * math.exp(nu) / e_num * d_eqnu) ** 2,
@@ -415,17 +385,29 @@ def _search(
     decides that the optimum is positive.
     """
     row = get_estimator(estimator, finite_size=True)
+    if not 0.0 < n_total < math.inf:
+        raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
+    if not 0.0 < mu < math.inf:
+        raise ValidationError(f"mu must be finite and > 0, got {mu}")
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
+    if not 0.0 <= u_alpha < math.inf:
+        raise ValidationError(f"u_alpha must be finite and >= 0, got {u_alpha}")
     with_vacuum = row.observes == VACUUM_WEAK
-    rate_lower = _objective(params, eta, row, mu, n_total, u_alpha)
+    worst_case = _worst_case(params, eta, row, mu)
     nu_hi = 0.999 * mu
+    two_n = 2.0 * n_total
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
+        # DataAllocation's checks hold by construction for 0 < w1, 0 <= w2, w1 + w2 <= _W_MAX
         if not 0.0 < nu < mu:
             return -1.0
         if w1 <= 0.0 or w1 + w2 > _W_MAX or w2 < 0.0:
             return -1.0
+        n1 = w1 * n_total
+        n2 = w2 * n_total
         try:
-            rate = rate_lower(nu, w1, w2)
+            rate = worst_case(nu, n1, n2, (n_total - n1 - n2) / two_n, u_alpha)[0]
         except InsufficientDataError:
             return -1.0
         if stop_if_positive and rate > 0.0:
@@ -559,7 +541,10 @@ def max_distance_fluct(
     Marches from 1 km in 8 km steps and bisects the first bracket where
     the optimum stops being positive.  Returns None when it is not
     positive at 1 km, and exactly l_hi when it is still positive there.
+    l_hi must be finite and > 1 km.
     """
+    if not 1.0 < l_hi < math.inf:
+        raise ValidationError(f"l_hi must be finite and > 1 km, got {l_hi}")
 
     def sign(length: float) -> float:
         eta = transmittance(params, length).eta

@@ -143,13 +143,16 @@ def find_zero_crossing(
 
     Intended for curves that are positive on the left and stay
     non-positive past their first crossing (key rate versus distance).
-    The march takes steps of ``step`` up to ``hi``; the first bracket
-    whose right end has ``f <= 0`` is bisected to ``x_tol``.  Returns
+    The march takes steps of ``step`` up to ``hi``, where -inf < lo < hi
+    < inf (else ValueError); the first bracket whose right end has
+    ``f <= 0`` is bisected to ``x_tol``.  Returns
 
     * None when ``f(lo) <= 0`` (never positive);
     * the bisected crossing, strictly below ``hi``;
     * exactly ``hi`` when ``f`` is still positive there (censored).
     """
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need -inf < lo < hi < inf, got lo={lo}, hi={hi}")
     if not (step > 0.0 and x_tol > 0.0):
         raise ValueError("step and x_tol must be positive")
     if f(lo) <= 0.0:

@@ -346,6 +346,8 @@ def max_secure_distance(rate_of_length, l_max: float = REACH_LIMIT_KM) -> float 
     Expects the usual shape: positive at short distance, negative past
     the crossing.  Returns None when the rate is never positive, and
     exactly l_max when it is still positive there (a crossing is always
-    below l_max).
+    below l_max).  l_max must be finite and > 0 km.
     """
+    if not 0.0 < l_max < math.inf:
+        raise ValidationError(f"l_max must be finite and > 0 km, got {l_max}")
     return find_zero_crossing(rate_of_length, 0.0, l_max, 2.0, x_tol=0.01)

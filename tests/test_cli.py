@@ -204,18 +204,22 @@ def test_reproduce_deviation_curves(tmp_path, capsys):
     assert "nu/mu=0.25" in out
 
 
-# CSVs written by `decoyqkd reproduce <target> --out` before the search's
-# objective became a fused float kernel; any drift in the finite-size
-# path shows up here byte for byte
+# `decoyqkd reproduce <target> --out` output written before the
+# finite-size rate had a single implementation: <target>.csv is the CSV,
+# <target>.stdout the summary lines printed after "wrote <path>"; any
+# drift in the pipeline shows up here byte for byte
 GOLDEN = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("target", ["table2", "fig3", "fig4", "fig5", "fig6"])
+@pytest.mark.parametrize("target", ["fig1", "fig2", "table2", "fig3", "fig4", "fig5", "fig6"])
 def test_reproduce_csv_is_byte_identical_to_golden(tmp_path, capsys, target):
     out_path = tmp_path / f"{target}.csv"
-    code, _, _ = run(capsys, "reproduce", target, "--out", str(out_path))
+    code, out, _ = run(capsys, "reproduce", target, "--out", str(out_path))
     assert code == 0
     assert out_path.read_bytes() == (GOLDEN / f"{target}.csv").read_bytes()
+    wrote = f"wrote {out_path}\n"
+    assert out.startswith(wrote)
+    assert out[len(wrote):] == (GOLDEN / f"{target}.stdout").read_text()
 
 
 def test_reproduce_rejects_unknown_target(capsys):
@@ -262,6 +266,20 @@ def test_scan_rejects_a_budget_with_low_counts(capsys):
     assert code == 2
     assert "--n-pulses" in err
     assert "at 0 km" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--n-pulses", "6e9", "--nu1", "0.3", "--efficient-bb84"),
+     "scan --n-pulses does not read --nu1, --efficient-bb84"),
+    (("--n-pulses", "6e9", "--nu2", "0"), "scan --n-pulses does not read --nu2"),
+    (("--u-alpha", "3"), "scan without --n-pulses does not read --u-alpha"),
+], ids=("finite-nu1-efficient", "finite-nu2", "noiseless-u-alpha"))
+def test_scan_rejects_options_its_branch_does_not_read(capsys, argv, message):
+    # each printed exactly what it printed without the option
+    code, out, err = run(capsys, "scan", "--steps", "2", "--l-max", "40", *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
     assert out == ""
 
 

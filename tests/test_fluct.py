@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from decoyqkd import fluct
 from decoyqkd.bounds import vacuum_weak_bounds
 from decoyqkd.fluct import (
     DataAllocation,
@@ -203,3 +204,14 @@ def test_max_distance_fluct_boundaries():
     # with the full budget the rate is still positive at 20 km, so the
     # search reports the cap it was given
     assert max_distance_fluct(GYS, 0.479, 6.0e9, l_hi=20.0) == 20.0
+
+
+@pytest.mark.parametrize("l_hi", [0.5, 1.0, -5.0, math.nan, math.inf])
+def test_max_distance_fluct_rejects_a_limit_it_cannot_search(monkeypatch, l_hi):
+    # 0.5 used to come back as 0.5, which reads as censored below the 1 km start
+    def never_called(*args):
+        raise AssertionError("the reach probed a length")
+
+    monkeypatch.setattr(fluct, "_optimum_is_positive", never_called)
+    with pytest.raises(ValidationError, match="l_hi"):
+        max_distance_fluct(GYS, 0.479, 6.0e9, l_hi=l_hi)

@@ -1,17 +1,16 @@
-"""The allocation search's objective, the reach's early exit, and their counts.
+"""The worst-case rate kernel, the reach's early exit, and their counts.
 
-The search evaluates a fused float kernel (fluct._objective), and a
-reach probe stops at its first positive evaluation
-(fluct._optimum_is_positive).  Both must give exactly what the full
-computation gives: fluctuated_bounds, which builds every intermediate
-object, is the kernel's oracle.  The evaluation counts are
+fluctuated_bounds and the allocation search both evaluate one fused float
+kernel (fluct._worst_case), and a reach probe stops at its first positive
+evaluation (fluct._optimum_is_positive).  Both must give exactly what the
+full computation gives: tests/fluct_oracle.py builds every intermediate
+object, and is the kernel's oracle.  The evaluation counts are
 deterministic, so they are pinned: a change to the search that moves
 them should say so.
 """
 
-import math
-
 import pytest
+from fluct_oracle import oracle_fluctuated_bounds
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +29,27 @@ GYS_MU = optimal_mu(GYS)
 KTH_MU = optimal_mu(KTH)
 
 
+def search_rate(params, eta, estimator, mu, n_total, u_alpha, nu, w1, w2):
+    """The kernel's (rate, Y1_hat, e1_hat) as the allocation search calls it at (nu, w1, w2)."""
+    kernel = fluct._worst_case(params, eta, get_estimator(estimator, finite_size=True), mu)
+    n1 = w1 * n_total
+    n2 = w2 * n_total
+    return kernel(nu, n1, n2, (n_total - n1 - n2) / (2.0 * n_total), u_alpha)
+
+
+def outcome(fn):
+    """repr(fn()), or the type and message of the ValidationError or float error it raises."""
+    try:
+        return repr(fn())
+    except (ValidationError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def report_and_oracle(*args):
+    """outcome() of fluctuated_bounds(*args) and of the oracle's composition."""
+    return outcome(lambda: fluctuated_bounds(*args)), outcome(lambda: oracle_fluctuated_bounds(*args))
+
+
 GRID = [
     (estimator, length, nu, w1, w2)
     for estimator in ("vacuum-weak", "one-decoy")
@@ -41,61 +61,70 @@ GRID = [
 
 @pytest.mark.parametrize("estimator, length, nu, w1, w2", GRID)
 def test_lean_objective_equals_fluctuated_bounds(estimator, length, nu, w1, w2):
-    row = get_estimator(estimator, finite_size=True)
     for params, mu in ((GYS, GYS_MU), (KTH, KTH_MU)):
         eta = transmittance(params, length).eta
         for u_alpha in (7.5, 0.0):
-            kernel = fluct._objective(params, eta, row, mu, 6.0e9, u_alpha)
-            alloc = fluct._make_alloc(6.0e9, w1, w2, u_alpha)
-            full = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
-            assert kernel(nu, w1, w2) == full.rate_lower
+            args = (params, eta, (mu, nu, 0.0), fluct._make_alloc(6.0e9, w1, w2, u_alpha), estimator)
+            fb = fluctuated_bounds(*args)
+            assert repr(fb) == repr(oracle_fluctuated_bounds(*args))
+            rate = search_rate(params, eta, estimator, mu, 6.0e9, u_alpha, nu, w1, w2)
+            assert rate == (fb.rate_lower, fb.y1_hat_lower, fb.e1_hat_upper)
 
 
 @pytest.mark.parametrize("estimator", ["vacuum-weak", "one-decoy"])
 def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
     eta = transmittance(GYS, 100.0).eta
     alloc = DataAllocation(n_total=6.0e9, n_signal=5.7e9, n_decoy1=0.0, n_decoy2=0.3e9)
-    kernel = fluct._objective(GYS, eta, get_estimator(estimator, finite_size=True),
-                              GYS_MU, 6.0e9, 10.0)
     with pytest.raises(InsufficientDataError):
-        kernel(0.1, 0.0, 0.05)
-    with pytest.raises(InsufficientDataError):
-        fluctuated_bounds(GYS, eta, (GYS_MU, 0.1, 0.0), alloc, estimator)
+        search_rate(GYS, eta, estimator, GYS_MU, 6.0e9, 10.0, 0.1, 0.0, 0.05)
+    full, oracle = report_and_oracle(GYS, eta, (GYS_MU, 0.1, 0.0), alloc, estimator)
+    assert full == oracle
+    assert full[0] is InsufficientDataError
 
 
-def outcome(fn):
-    """fn()'s value, or the type and message of the ValidationError it raises."""
-    try:
-        return fn()
-    except ValidationError as exc:
-        return type(exc), str(exc)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(
     preset=st.sampled_from(("GYS", "KTH")),
     estimator=st.sampled_from(("vacuum-weak", "one-decoy")),
     length=st.floats(0.0, 180.0),
     log_n=st.floats(4.0, 12.0),
     u_alpha=st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
-    nu_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.999)),
+    mu_choice=st.one_of(st.just("optimal"), st.just(0.0), st.floats(0.0, 1.2)),
+    nu_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.999), st.floats(-0.5, 2.0)),
     w1=st.one_of(st.just(0.0), st.floats(1e-4, 0.9)),
     w2_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    alloc_kind=st.sampled_from(("search", "user", "no-signal")),
+    pair=st.booleans(),
 )
 def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, log_n, u_alpha,
-                                                     nu_frac, w1, w2_frac):
+                                                     mu_choice, nu_frac, w1, w2_frac,
+                                                     alloc_kind, pair):
     params, mu = {"GYS": (GYS, GYS_MU), "KTH": (KTH, KTH_MU)}[preset]
+    if mu_choice != "optimal":
+        mu = mu_choice
     eta = transmittance(params, length).eta
     n_total = 10.0**log_n
-    nu = nu_frac * mu
+    nu = nu_frac * mu if mu > 0.0 else nu_frac
     w2 = w2_frac * (fluct._W_MAX - w1)
-    kernel = fluct._objective(params, eta, get_estimator(estimator, finite_size=True),
-                              mu, n_total, u_alpha)
-    alloc = fluct._make_alloc(n_total, w1, w2, u_alpha)
-    expected = outcome(lambda: fluctuated_bounds(
-        params, eta, (mu, nu, 0.0), alloc, estimator).rate_lower)
-    # the same float, or the same exception with the same message
-    assert outcome(lambda: kernel(nu, w1, w2)) == expected
+    if alloc_kind == "search":
+        alloc = fluct._make_alloc(n_total, w1, w2, u_alpha)
+    elif alloc_kind == "user":  # n_signal can differ from N - N1 - N2 in the last bit
+        alloc = DataAllocation(n_total, (1.0 - w1 - w2) * n_total, w1 * n_total,
+                               w2 * n_total, u_alpha)
+    else:
+        alloc = DataAllocation(n_total, 0.0, w1 * n_total, n_total - w1 * n_total, u_alpha)
+    intensities = (mu, nu) if pair else (mu, nu, 0.0)
+    full, oracle = report_and_oracle(params, eta, intensities, alloc, estimator)
+    # the same report, or the same exception with the same message
+    assert full == oracle
+    if alloc_kind == "search" and nu >= 0.0 and mu > 0.0:
+        # the search's own call of the kernel, with nothing validated ahead of it
+        def oracle_rate():
+            fb = oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator)
+            return fb.rate_lower, fb.y1_hat_lower, fb.e1_hat_upper
+
+        assert outcome(lambda: search_rate(params, eta, estimator, mu, n_total, u_alpha,
+                                           nu, w1, w2)) == outcome(oracle_rate)
 
 
 # lengths just inside and just beyond each reach
@@ -119,12 +148,19 @@ def test_early_exit_sign_equals_the_full_optimum(params, mu, n_total, estimator,
 
 
 def count_calls(monkeypatch, fn):
-    """(fn(), kernel evaluations, fluctuated_bounds calls) while fn runs."""
-    calls = {"kernel": 0, "fluctuated_bounds": 0}
-    objective, bounds = fluct._objective, fluct.fluctuated_bounds
+    """(fn(), search evaluations, fluctuated_bounds calls) while fn runs.
 
-    def counted_objective(*args):
-        kernel = objective(*args)
+    A search evaluation is one kernel call the search makes; the two
+    that each fluctuated_bounds call makes are not counted.
+    """
+    calls = {"kernel": 0, "fluctuated_bounds": 0}
+    in_bounds = []
+    build, bounds = fluct._worst_case, fluct.fluctuated_bounds
+
+    def counted_build(*args):
+        kernel = build(*args)
+        if in_bounds:
+            return kernel
 
         def counted(*point):
             calls["kernel"] += 1
@@ -134,9 +170,13 @@ def count_calls(monkeypatch, fn):
 
     def counted_bounds(*args, **kwargs):
         calls["fluctuated_bounds"] += 1
-        return bounds(*args, **kwargs)
+        in_bounds.append(True)
+        try:
+            return bounds(*args, **kwargs)
+        finally:
+            in_bounds.pop()
 
-    monkeypatch.setattr(fluct, "_objective", counted_objective)
+    monkeypatch.setattr(fluct, "_worst_case", counted_build)
     monkeypatch.setattr(fluct, "fluctuated_bounds", counted_bounds)
     return fn(), calls["kernel"], calls["fluctuated_bounds"]
 

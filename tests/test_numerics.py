@@ -14,6 +14,7 @@ from decoyqkd.numerics import (
     finite_difference,
     maximize_scalar,
 )
+from decoyqkd.model import ValidationError
 from decoyqkd.rate import max_secure_distance
 
 
@@ -127,6 +128,26 @@ def test_find_zero_crossing_none_crossing_or_censored(lo, span, step, x_tol, off
 def test_find_zero_crossing_stops_on_adjacent_floats():
     x = find_zero_crossing(lambda l: 1e6 - l, 0.0, 2e6, 1e5, x_tol=1e-300)
     assert x == pytest.approx(1e6, rel=1e-15)
+
+
+def never_called(l):
+    raise AssertionError(f"the curve was called at {l}")
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 0.0), (5.0, 1.0), (0.0, math.inf), (0.0, -math.inf), (0.0, math.nan),
+    (math.nan, 10.0), (-math.inf, 10.0), (math.inf, math.inf),
+])
+def test_find_zero_crossing_rejects_a_limit_it_cannot_search(lo, hi):
+    with pytest.raises(ValueError, match="lo < hi"):
+        find_zero_crossing(never_called, lo, hi, 1.0)
+
+
+@pytest.mark.parametrize("l_max", [0.0, -5.0, math.nan, math.inf, -math.inf])
+def test_max_secure_distance_rejects_a_limit_it_cannot_search(l_max):
+    # l_max = inf used to march forever
+    with pytest.raises(ValidationError, match="l_max"):
+        max_secure_distance(never_called, l_max=l_max)
 
 
 def test_max_secure_distance_evaluates_zero_km_once():

@@ -2,8 +2,8 @@
 
 The CLI choices come from it, the `bounds` report agrees with the
 public rate functions, the bounds functions are looked up through the
-bounds module on every call, and every binding perfbench's tracer wraps
-still exists.
+bounds module on every call (fluctuated_bounds calls none: its kernel
+fuses them), and every binding perfbench's tracer wraps still exists.
 """
 
 import re
@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from fluct_oracle import oracle_fluctuated_bounds
 
 from decoyqkd import bounds, cli, fluct, rate
 from decoyqkd.model import GYS, transmittance
@@ -64,7 +65,11 @@ def test_bounds_functions_are_looked_up_per_call(monkeypatch, name):
     assert len(calls) == 1
     if row.finite_size:
         alloc = fluct.DataAllocation(6.0e9, 4.2e9, 1.5e9, 0.3e9)
+        # fluctuated_bounds runs its fused kernel and calls no bounds function
         fluct.fluctuated_bounds(GYS, ETA_40KM, (0.48, 0.12, 0.0), alloc, name)
+        assert len(calls) == 1
+        # its oracle does: one per vacuum-gain direction, and one unshifted
+        oracle_fluctuated_bounds(GYS, ETA_40KM, (0.48, 0.12, 0.0), alloc, name)
         assert len(calls) == (4 if row.observes == rate.VACUUM_WEAK else 3)
 
 
