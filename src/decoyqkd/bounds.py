@@ -43,6 +43,9 @@ from .model import (
 )
 
 
+MU_MAX = math.log(sys.float_info.max)  # e^mu overflows a float past this
+
+
 @dataclass(frozen=True)
 class ProtocolIntensities:
     """Signal and decoy mean photon numbers with the ordering constraints."""
@@ -54,6 +57,7 @@ class ProtocolIntensities:
     def __post_init__(self) -> None:
         if self.mu <= 0.0:
             raise ValidationError(f"mu must be > 0, got {self.mu}")
+        _check_mu_max(self.mu)
         if self.nu2 < 0.0:
             raise ValidationError(f"nu2 must be >= 0, got {self.nu2}")
         if not self.nu2 < self.nu1:
@@ -358,6 +362,12 @@ def _check_gap_args(nu2: float, mu: float, nu1: float) -> None:
 def _check_one_decoy_intensities(mu: float, nu: float) -> None:
     if not 0.0 < nu < mu:
         raise ValidationError(f"need 0 < nu < mu, got mu={mu}, nu={nu}")
+    _check_mu_max(mu)
+
+
+def _check_mu_max(mu: float) -> None:
+    if mu > MU_MAX:
+        raise ValidationError(f"mu must be <= {MU_MAX}, where e^mu overflows a float, got {mu}")
 
 
 # --- adversary oracle -------------------------------------------------

@@ -211,6 +211,8 @@ def cmd_optimal_mu(args) -> None:
 
 
 def cmd_bounds(args) -> None:
+    if args.nu2 < 0.0:  # a negative nu2 would only drop the two-decoy row
+        raise ValidationError(f"nu2 must be >= 0, got {args.nu2}")
     params = _params_from(args)
     eta = transmittance(params, args.length).eta
     q = 1.0 if args.efficient_bb84 else 0.5
@@ -251,13 +253,23 @@ def _grid(lo: float, hi: float, steps: int):
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
-def cmd_scan(args) -> None:
-    finite = args.n_pulses is not None
-    unread = ("nu1", "nu2", "efficient_bb84") if finite else ("u_alpha",)
+def _reject_unread(args, unread: Sequence[str], reader: str) -> None:
+    """Exit 2 on each option in ``unread`` given on the command line."""
     given = ["--" + dest.replace("_", "-") for dest in unread if dest in vars(args)]
     if given:
-        branch = "scan --n-pulses" if finite else "scan without --n-pulses"
-        raise ValidationError(f"{branch} does not read {', '.join(given)}")
+        raise ValidationError(f"{reader} does not read {', '.join(given)}")
+
+
+def cmd_scan(args) -> None:
+    finite = args.n_pulses is not None
+    if finite:
+        _reject_unread(args, ("nu1", "nu2", "efficient_bb84"), "scan --n-pulses")
+    else:
+        _reject_unread(args, ("u_alpha",), "scan without --n-pulses")
+    # an estimator reads the decoy intensities its row observes
+    observes = rate_mod.ESTIMATORS[args.estimator].observes.split()
+    _reject_unread(args, [n for n in ("nu1", "nu2") if n not in observes],
+                   f"scan --estimator {args.estimator}")
     params = _params_from(args)
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
     grid = _grid(args.l_min, args.l_max, args.steps)

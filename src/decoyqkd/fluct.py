@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from .bounds import MU_MAX, _check_mu_max, _check_one_decoy_intensities
 from .model import (
     E0,
     ExperimentParams,
@@ -36,7 +37,7 @@ from .model import (
     simulate_observations,
     transmittance,
 )
-from .numerics import SearchConfig, find_zero_crossing, maximize_scalar
+from .numerics import find_zero_crossing, maximize_scalar
 from .rate import ESTIMATORS, VACUUM_WEAK, KeyRateInputs, binary_entropy, get_estimator
 from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
@@ -221,7 +222,10 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
 
     f_ec = params.f_ec
     signal = -q_mu * f_ec * binary_entropy(e_mu)
-    q_mu_e_mu = q_mu * math.exp(mu)
+    # past MU_MAX e^mu overflows, and every call raises what the estimators raise
+    overflow = mu > MU_MAX
+    nu_limit = 0.0 if overflow else mu
+    q_mu_e_mu = math.inf if overflow else q_mu * math.exp(mu)
     e_minus_mu = math.exp(-mu)
     mu2 = mu**2
     neg_eta = -eta
@@ -253,8 +257,8 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
                 y0_hats = (min(max(y0 * (1.0 + delta0), 0.0), 1.0),
                            min(max(y0 * (1.0 - delta0), 0.0), 1.0))
         # the estimator and key_rate_strong, once per vacuum-gain direction
-        if not 0.0 < nu < mu:
-            raise ValidationError(f"need 0 < nu < mu, got mu={mu}, nu={nu}")
+        if not 0.0 < nu < nu_limit:
+            _check_one_decoy_intensities(mu, nu)  # raises its message
         ex_nu = exp(nu)
         scale = mu / (nu * (mu - nu))
         nu2_mu2 = nu**2 / mu2
@@ -337,6 +341,7 @@ _DEFAULT_SEEDS = (
     (0.12, 0.30, 0.05),
     (0.25, 0.45, 0.10),
 )
+_NU_MIN = 1e-3  # the decoy intensity search runs over [_NU_MIN, 0.999 mu]
 _W_MAX = 0.98  # keep at least 2% of pulses on the signal
 _REL_TOL = 1e-4  # coordinate descent stops on a smaller relative gain per cycle
 _MAX_CYCLES = 12
@@ -393,9 +398,12 @@ def _search(
         raise ValidationError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 <= u_alpha < math.inf:
         raise ValidationError(f"u_alpha must be finite and >= 0, got {u_alpha}")
+    nu_hi = 0.999 * mu
+    if not _NU_MIN < nu_hi:
+        raise ValidationError(f"mu={mu} leaves the decoy search [{_NU_MIN:g}, 0.999 mu] empty")
+    _check_mu_max(mu)
     with_vacuum = row.observes == VACUUM_WEAK
     worst_case = _worst_case(params, eta, row, mu)
-    nu_hi = 0.999 * mu
     two_n = 2.0 * n_total
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
@@ -421,23 +429,18 @@ def _search(
         best = evaluate(nu, w1, w2)
         for _ in range(_MAX_CYCLES):
             prev = best
-            res = maximize_scalar(
-                lambda x: evaluate(x, w1, w2),
-                SearchConfig(lo=1e-3, hi=nu_hi, abs_tol=1e-5, rel_tol=1e-6),
-            )
+            res = maximize_scalar(lambda x: evaluate(x, w1, w2), _NU_MIN, nu_hi, 1e-5, 1e-6)
             if res.value > best:
                 nu, best = res.x, res.value
             res = maximize_scalar(
-                lambda x: evaluate(nu, x, min(w2, _W_MAX - x)),
-                SearchConfig(lo=1e-4, hi=_W_MAX, abs_tol=1e-5, rel_tol=1e-6),
+                lambda x: evaluate(nu, x, min(w2, _W_MAX - x)), 1e-4, _W_MAX, 1e-5, 1e-6
             )
             if res.value > best:
                 w1, best = res.x, res.value
                 w2 = min(w2, _W_MAX - w1)
             if free_w2:
                 res = maximize_scalar(
-                    lambda x: evaluate(nu, w1, x),
-                    SearchConfig(lo=0.0 + 1e-6, hi=max(_W_MAX - w1, 2e-6), abs_tol=1e-5, rel_tol=1e-6),
+                    lambda x: evaluate(nu, w1, x), 1e-6, max(_W_MAX - w1, 2e-6), 1e-5, 1e-6
                 )
                 if res.value > best:
                     w2, best = res.x, res.value

@@ -43,7 +43,7 @@ from .model import (
     simulate_observations,
     transmittance,
 )
-from .numerics import SearchConfig, find_root, find_zero_crossing, maximize_scalar
+from .numerics import find_zero_crossing, maximize_scalar
 
 
 class NoPositiveRateError(ValidationError):
@@ -152,15 +152,16 @@ def optimal_mu(params: ExperimentParams, f_ec: float | None = None) -> float:
             f"e_detector={params.e_detector} leaves no single-photon advantage"
         )
     rhs = f * h / (1.0 - h)
-    if rhs >= 1.0:
+    if rhs == 0.0:
+        return 1.0
+    # (1 - m) e^-m falls from 1 to 0 on [0, 1], so this is positive left of its one root
+    mu = find_zero_crossing(lambda m: (1.0 - m) * math.exp(-m) - rhs, 1e-9, 1.0, 1.0, x_tol=1e-9)
+    if mu is None:
         raise NoPositiveRateError(
             f"error correction at f_ec={f}, e_detector={params.e_detector} "
             "consumes the whole key"
         )
-    if rhs == 0.0:
-        return 1.0
-    cfg = SearchConfig(lo=1e-9, hi=1.0, abs_tol=1e-9, rel_tol=1e-12)
-    return find_root(lambda m: (1.0 - m) * math.exp(-m) - rhs, cfg)
+    return mu
 
 
 def optimal_mu_exact(params: ExperimentParams, eta: float) -> float:
@@ -169,11 +170,7 @@ def optimal_mu_exact(params: ExperimentParams, eta: float) -> float:
     Cross-check for optimal_mu: includes the background and the full
     gain/QBER expressions instead of the stationarity approximation.
     """
-    res = maximize_scalar(
-        lambda mu: asymptotic_rate(params, eta, mu),
-        SearchConfig(lo=0.01, hi=1.5, abs_tol=1e-7, rel_tol=1e-9),
-    )
-    return res.x
+    return maximize_scalar(lambda mu: asymptotic_rate(params, eta, mu), 0.01, 1.5, 1e-7, 1e-9).x
 
 
 def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) -> float:
@@ -184,7 +181,6 @@ def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) ->
     with Delta set to mu.  With a length the rate at that distance is
     maximized; without one the secure distance is maximized instead.
     """
-    cfg = SearchConfig(lo=0.01, hi=0.99, abs_tol=1e-6, rel_tol=1e-9)
     if length_km is not None:
         eta = transmittance(params, length_km).eta
 
@@ -199,7 +195,7 @@ def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) ->
             )
             return -1.0 if d is None else d
 
-    return maximize_scalar(objective, cfg).x
+    return maximize_scalar(objective, 0.01, 0.99, 1e-6, 1e-9).x
 
 
 # --- the estimator table -----------------------------------------------

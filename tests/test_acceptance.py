@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import finite_difference
 
 from decoyqkd.bounds import (
     ProtocolIntensities,
@@ -34,7 +35,6 @@ from decoyqkd.bounds import (
 )
 from decoyqkd.fluct import max_distance_fluct, optimize_allocation, scan_distance_fluct
 from decoyqkd.model import E0, GYS, KTH, simulate_observations, transmittance
-from decoyqkd.numerics import finite_difference
 from decoyqkd.rate import (
     asymptotic_rate,
     max_secure_distance,

@@ -10,7 +10,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import cli
@@ -80,6 +80,7 @@ def test_data_allocation_rejects_or_stays_finite(field, value):
 
 @PROPERTY
 @given(ANY_FLOAT)
+@example(3.7796468557663094)  # a right-hand side of 1 - 1e-9, above (1 - mu) e^-mu on [1e-9, 1]
 def test_optimal_mu_rejects_or_returns_finite(f_ec):
     try:
         mu = optimal_mu(GYS, f_ec=f_ec)

@@ -62,9 +62,21 @@ def test_protocol_intensities_validation():
         dict(mu=0.5, nu1=0.1, nu2=0.1),
         dict(mu=0.5, nu1=0.05, nu2=0.1),
         dict(mu=0.5, nu1=0.4, nu2=0.2),
+        dict(mu=800.0, nu1=0.1),  # e^mu overflows
     ]:
         with pytest.raises(ValidationError):
             ProtocolIntensities(**bad)
+
+
+def test_a_mu_whose_exponential_overflows_is_rejected():
+    # e^mu in the Y1 bracket was a math range error, not a validation error
+    obs = observe(ETA_40KM, 800.0, 0.1)
+    for estimate in (vacuum_weak_bounds, one_decoy_trial, one_decoy_simple):
+        with pytest.raises(ValidationError, match="mu must be <= "):
+            estimate(obs, 800.0, 0.1)
+    # e^MU_MAX is still a float
+    assert vacuum_weak_bounds(observe(ETA_40KM, bounds.MU_MAX, 0.1), bounds.MU_MAX, 0.1)
+    ProtocolIntensities(mu=bounds.MU_MAX, nu1=0.1)
 
 
 # --- frozen operating points -------------------------------------------

@@ -274,12 +274,46 @@ def test_scan_rejects_a_budget_with_low_counts(capsys):
      "scan --n-pulses does not read --nu1, --efficient-bb84"),
     (("--n-pulses", "6e9", "--nu2", "0"), "scan --n-pulses does not read --nu2"),
     (("--u-alpha", "3"), "scan without --n-pulses does not read --u-alpha"),
-], ids=("finite-nu1-efficient", "finite-nu2", "noiseless-u-alpha"))
+    (("--estimator", "vacuum-weak", "--nu2", "0.3"),
+     "scan --estimator vacuum-weak does not read --nu2"),
+    (("--estimator", "one-decoy-simple", "--nu1", "0.1", "--nu2", "0.03"),
+     "scan --estimator one-decoy-simple does not read --nu2"),
+    (("--estimator", "asymptotic", "--nu1", "0.3"),
+     "scan --estimator asymptotic does not read --nu1"),
+    (("--estimator", "wang", "--nu1", "0.1", "--nu2", "0"),
+     "scan --estimator wang does not read --nu1, --nu2"),
+], ids=("finite-nu1-efficient", "finite-nu2", "noiseless-u-alpha", "vacuum-weak-nu2",
+        "one-decoy-nu2", "asymptotic-nu1", "wang-nu1-nu2"))
 def test_scan_rejects_options_its_branch_does_not_read(capsys, argv, message):
     # each printed exactly what it printed without the option
     code, out, err = run(capsys, "scan", "--steps", "2", "--l-max", "40", *argv)
     assert code == 2
     assert err == f"error: {message}\n"
+    assert out == ""
+
+
+def test_scan_two_decoy_reads_both_decoy_intensities(capsys):
+    code, out, _ = run(capsys, "scan", "--steps", "2", "--l-max", "40",
+                       "--estimator", "two-decoy", "--nu1", "0.1", "--nu2", "0.02")
+    assert code == 0
+    assert out.startswith("l_km,rate_per_pulse\n")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("optimal-mu", "--f-ec", "3.7796468557663094"), "f_ec"),
+    (("fluct-optimize", "--length", "40", "--mu", "800"), "mu"),
+    (("fluct-optimize", "--length", "40", "--mu", "1e-300"), "mu"),
+    (("scan", "--n-pulses", "6e9", "--mu", "1e-300", "--steps", "2"), "mu"),
+    (("bounds", "--length", "40", "--mu", "800", "--nu1", "0.1"), "mu"),
+    (("bounds", "--length", "40", "--mu", "0.48", "--nu1", "0.1", "--nu2", "-0.1"), "nu2"),
+], ids=("optimal-mu-no-root", "fluct-mu-overflows", "fluct-mu-tiny", "scan-mu-tiny",
+        "bounds-mu-overflows", "bounds-negative-nu2"))
+def test_an_intensity_out_of_range_is_a_validation_error(capsys, argv, option):
+    # each was an internal error (exit 1), or an exit 0 that dropped a row
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert option in err
     assert out == ""
 
 

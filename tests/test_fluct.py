@@ -187,6 +187,20 @@ def test_optimize_allocation_validation():
         optimize_allocation(GYS, ETA_100KM, 0.479, 6.0e9, estimator="two-decoy")
 
 
+@pytest.mark.parametrize("mu, message", [
+    (800.0, "mu must be <= "),  # e^mu overflows
+    (1e-300, "leaves the decoy search"),  # 0.999 mu < 1e-3
+    (1e-3, "leaves the decoy search"),
+])
+def test_optimize_allocation_rejects_a_mu_it_cannot_search(monkeypatch, mu, message):
+    def never_called(*args):
+        raise AssertionError("the search was started")
+
+    monkeypatch.setattr(fluct, "maximize_scalar", never_called)
+    with pytest.raises(ValidationError, match=message):
+        optimize_allocation(GYS, ETA_100KM, mu, 6.0e9)
+
+
 def test_scan_distance_fluct_shape():
     points = scan_distance_fluct(GYS, 0.479, 6.0e9, [40.0, 80.0, 110.0])
     assert [p.length_km for p in points] == [40.0, 80.0, 110.0]

@@ -11,7 +11,7 @@ them should say so.
 
 import pytest
 from fluct_oracle import oracle_fluctuated_bounds
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import fluct
@@ -96,6 +96,11 @@ def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
     alloc_kind=st.sampled_from(("search", "user", "no-signal")),
     pair=st.booleans(),
 )
+# mu = 800 overflows e^mu: both paths raise the estimators' message, and at nu = 0 the nu one
+@example(preset="GYS", estimator="vacuum-weak", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice=800.0, nu_frac=0.5, w1=0.3, w2_frac=0.2, alloc_kind="search", pair=False)
+@example(preset="GYS", estimator="one-decoy", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice=800.0, nu_frac=0.0, w1=0.3, w2_frac=0.0, alloc_kind="user", pair=True)
 def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, log_n, u_alpha,
                                                      mu_choice, nu_frac, w1, w2_frac,
                                                      alloc_kind, pair):

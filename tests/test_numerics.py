@@ -3,77 +3,51 @@
 import math
 
 import pytest
+from helpers import finite_difference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decoyqkd.numerics import (
-    BracketError,
-    SearchConfig,
-    find_root,
-    find_zero_crossing,
-    finite_difference,
-    maximize_scalar,
-)
+from decoyqkd.numerics import find_zero_crossing, maximize_scalar
 from decoyqkd.model import ValidationError
 from decoyqkd.rate import max_secure_distance
 
 
-def test_search_config_rejects_bad_input():
+def test_maximize_scalar_rejects_bad_input():
     with pytest.raises(ValueError):
-        SearchConfig(lo=1.0, hi=1.0)
+        maximize_scalar(math.sin, 1.0, 1.0, 1e-10, 1e-9)
     with pytest.raises(ValueError):
-        SearchConfig(lo=2.0, hi=1.0)
+        maximize_scalar(math.sin, 2.0, 1.0, 1e-10, 1e-9)
     with pytest.raises(ValueError):
-        SearchConfig(lo=0.0, hi=1.0, abs_tol=0.0)
+        maximize_scalar(math.sin, 0.0, 1.0, 0.0, 1e-9)
     with pytest.raises(ValueError):
-        SearchConfig(lo=0.0, hi=1.0, rel_tol=-1e-9)
-    with pytest.raises(ValueError):
-        SearchConfig(lo=0.0, hi=1.0, max_iter=0)
+        maximize_scalar(math.sin, 0.0, 1.0, 1e-10, -1e-9)
 
 
-def test_find_root_cosine():
-    root = find_root(math.cos, SearchConfig(lo=1.0, hi=2.0))
+def test_find_zero_crossing_cosine():
+    root = find_zero_crossing(math.cos, 1.0, 2.0, 1.0, x_tol=1e-9)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-8)
 
 
-def test_find_root_quadratic():
-    root = find_root(lambda x: x * x - 2.0, SearchConfig(lo=0.0, hi=2.0))
+def test_find_zero_crossing_sqrt2():
+    root = find_zero_crossing(lambda x: 2.0 - x * x, 0.0, 2.0, 1.0, x_tol=1e-9)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
 
-def test_find_root_returns_exact_endpoint_zero():
-    cfg = SearchConfig(lo=0.0, hi=1.0)
-    assert find_root(lambda x: x, cfg) == 0.0
-    assert find_root(lambda x: x - 1.0, cfg) == 1.0
-
-
-def test_find_root_tangent_root():
-    # no sign change across the bracket; |f| must be driven below abs_tol
-    cfg = SearchConfig(lo=0.0, hi=2.0, abs_tol=1e-9)
-    root = find_root(lambda x: (x - 1.25) ** 2, cfg)
-    assert root == pytest.approx(1.25, abs=1e-4)
-
-
-def test_find_root_rejects_rootless_bracket():
-    with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, SearchConfig(lo=0.0, hi=1.0))
-
-
 def test_maximize_scalar_parabola():
-    res = maximize_scalar(lambda x: -((x - 0.3) ** 2), SearchConfig(lo=0.0, hi=1.0))
+    res = maximize_scalar(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 1e-10, 1e-9)
     assert res.converged
     assert res.x == pytest.approx(0.3, abs=1e-7)
     assert res.value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_maximize_scalar_boundary_maximum():
-    res = maximize_scalar(lambda x: x, SearchConfig(lo=0.0, hi=1.0))
+    res = maximize_scalar(lambda x: x, 0.0, 1.0, 1e-10, 1e-9)
     assert res.converged
     assert res.x == pytest.approx(1.0, abs=1e-6)
 
 
 def test_maximize_scalar_flat_objective():
-    res = maximize_scalar(lambda x: 7.0, SearchConfig(lo=0.0, hi=4.0))
+    res = maximize_scalar(lambda x: 7.0, 0.0, 4.0, 1e-10, 1e-9)
     assert not res.converged
     assert res.x == pytest.approx(2.0)
     assert res.value == 7.0

@@ -100,6 +100,17 @@ def test_optimal_mu_frozen_values():
     assert optimal_mu(KTH) == pytest.approx(0.7687053753510814, abs=1e-7)
 
 
+def test_optimal_intensities_are_pinned_bit_for_bit():
+    # reprs recorded before optimal_mu moved from its own bisection to
+    # find_zero_crossing: the intensity every finite-size figure runs at
+    assert repr(optimal_mu(GYS, f_ec=1.0)) == "0.5441152779287681"
+    assert repr(optimal_mu(GYS)) == "0.478922748993619"
+    assert repr(optimal_mu(KTH, f_ec=1.0)) == "0.8036684940669774"
+    assert repr(optimal_mu(KTH)) == "0.768705375258206"
+    assert repr(optimal_mu_exact(GYS, transmittance(GYS, 50.0).eta)) == "0.4793025370829066"
+    assert repr(optimal_mu_wang(GYS)) == "0.2655542782210621"
+
+
 def test_optimal_mu_stationarity():
     # the returned intensity solves (1-mu) e^(-mu) = f H2(e)/(1-H2(e))
     mu = optimal_mu(GYS)
