@@ -44,8 +44,6 @@ from .model import (
     ExperimentParams,
     ObservedRates,
     ValidationError,
-    error_i,
-    gain_i,
     get_preset,
     load_params,
     overall_gain,

@@ -22,7 +22,9 @@ and e_1 (from above):
     "trial" variant, tighter in practice).
 
 All bounds are floored/capped at their vacuous values (Y1 at 0, e1 at
-0.5) so that a key-rate formula downstream stays well defined.
+0.5) so that a key-rate formula downstream stays well defined.  Every
+estimator is one skeleton over that: _y1_from_bracket (the floored Y1),
+_e1_from (the capped e1) and _estimate (Q1 = Y1 mu e^-mu).
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ from .model import (
     ExperimentParams,
     ObservedRates,
     ValidationError,
-    overall_gain,
-    overall_qber,
     poisson_tail,
 )
 
@@ -57,7 +57,7 @@ class ProtocolIntensities:
     def __post_init__(self) -> None:
         if self.mu <= 0.0:
             raise ValidationError(f"mu must be > 0, got {self.mu}")
-        _check_mu_max(self.mu)
+        _check_mu_range(self.mu)
         if self.nu2 < 0.0:
             raise ValidationError(f"nu2 must be >= 0, got {self.nu2}")
         if not self.nu2 < self.nu1:
@@ -69,6 +69,7 @@ class ProtocolIntensities:
                 f"intensities must satisfy nu1 + nu2 < mu, got "
                 f"mu={self.mu}, nu1={self.nu1}, nu2={self.nu2}"
             )
+        _check_bracket(self.mu, self.nu1, self.nu2)
 
 
 @dataclass(frozen=True)
@@ -119,25 +120,35 @@ def _y1_from_bracket(
     nu2: float, y0_value: float,
 ) -> float:
     # shared algebra: every Y1 estimator differs only in what it uses for
-    # the second-decoy gain term and for Y0
+    # the second-decoy gain term and for Y0; floored at the vacuous 0
     denom = (nu1 - nu2) * (mu - nu1 - nu2)
     bracket = (
         obs.q_nu1 * math.exp(nu1)
         - nu2_gain_scaled
         - (nu1**2 - nu2**2) / mu**2 * (obs.q_mu * math.exp(mu) - y0_value)
     )
-    return mu / denom * bracket
+    return max(mu / denom * bracket, 0.0)
+
+
+def _e1_from(y1: float, error_gain: float, scale: float) -> float:
+    """e1 <= error_gain / (scale * Y1), in [0, 0.5]; the vacuous 0.5 when Y1 is floored."""
+    if y1 <= 0.0:
+        return 0.5
+    return min(max(error_gain / (scale * y1), 0.0), 0.5)
+
+
+def _estimate(name: str, mu: float, y0: float, y1: float, e1: float) -> BoundsEstimate:
+    return BoundsEstimate(y0_lower=y0, y1_lower=y1, q1_lower=y1 * mu * math.exp(-mu),
+                          e1_upper=e1, estimator=name)
 
 
 def y1_lower_two_decoy(obs: ObservedRates, intensities: ProtocolIntensities) -> float:
     """Single-photon-yield lower bound from signal plus two decoys."""
     _require_second_decoy(obs)
     mu, nu1, nu2 = intensities.mu, intensities.nu1, intensities.nu2
-    y0l = y0_lower(obs, intensities)
-    val = _y1_from_bracket(
-        obs, mu, nu1, obs.q_nu2 * math.exp(nu2), nu2, y0l
+    return _y1_from_bracket(
+        obs, mu, nu1, obs.q_nu2 * math.exp(nu2), nu2, y0_lower(obs, intensities)
     )
-    return max(val, 0.0)
 
 
 def e1_upper_two_decoy(
@@ -148,27 +159,16 @@ def e1_upper_two_decoy(
     A non-positive y1_low makes the bound vacuous; 0.5 is returned.
     """
     _require_second_decoy(obs)
-    if y1_low <= 0.0:
-        return 0.5
     nu1, nu2 = intensities.nu1, intensities.nu2
-    val = (
-        obs.e_nu1 * obs.q_nu1 * math.exp(nu1)
-        - obs.e_nu2 * obs.q_nu2 * math.exp(nu2)
-    ) / ((nu1 - nu2) * y1_low)
-    return min(max(val, 0.0), 0.5)
+    error_gain = obs.e_nu1 * obs.q_nu1 * math.exp(nu1) - obs.e_nu2 * obs.q_nu2 * math.exp(nu2)
+    return _e1_from(y1_low, error_gain, nu1 - nu2)
 
 
 def two_decoy_bounds(obs: ObservedRates, intensities: ProtocolIntensities) -> BoundsEstimate:
     """Bundle of the two-decoy Y0/Y1/Q1/e1 bounds."""
-    y0l = y0_lower(obs, intensities)
-    y1l = y1_lower_two_decoy(obs, intensities)
-    return BoundsEstimate(
-        y0_lower=y0l,
-        y1_lower=y1l,
-        q1_lower=y1l * intensities.mu * math.exp(-intensities.mu),
-        e1_upper=e1_upper_two_decoy(obs, intensities, y1l),
-        estimator="two-decoy",
-    )
+    y1 = y1_lower_two_decoy(obs, intensities)
+    return _estimate("two-decoy", intensities.mu, y0_lower(obs, intensities), y1,
+                     e1_upper_two_decoy(obs, intensities, y1))
 
 
 def vacuum_weak_bounds(obs: ObservedRates, mu: float, nu: float) -> BoundsEstimate:
@@ -182,19 +182,9 @@ def vacuum_weak_bounds(obs: ObservedRates, mu: float, nu: float) -> BoundsEstima
     if not obs.has_second_decoy:
         raise ValidationError("vacuum+weak needs a vacuum (nu2=0) measurement")
     y0 = obs.q_nu2
-    y1 = max(_y1_from_bracket(obs, mu, nu, y0, 0.0, y0), 0.0)
-    if y1 <= 0.0:
-        e1 = 0.5
-    else:
-        e1 = (obs.e_nu1 * obs.q_nu1 * math.exp(nu) - E0 * y0) / (y1 * nu)
-        e1 = min(max(e1, 0.0), 0.5)
-    return BoundsEstimate(
-        y0_lower=y0,
-        y1_lower=y1,
-        q1_lower=y1 * mu * math.exp(-mu),
-        e1_upper=e1,
-        estimator="vacuum-weak",
-    )
+    y1 = _y1_from_bracket(obs, mu, nu, y0, 0.0, y0)
+    e1 = _e1_from(y1, obs.e_nu1 * obs.q_nu1 * math.exp(nu) - E0 * y0, nu)
+    return _estimate("vacuum-weak", mu, y0, y1, e1)
 
 
 def one_decoy_simple(obs: ObservedRates, mu: float, nu: float) -> BoundsEstimate:
@@ -206,19 +196,10 @@ def one_decoy_simple(obs: ObservedRates, mu: float, nu: float) -> BoundsEstimate
     error sum e1 <= E_mu Q_mu e^mu / (Y1_lower * mu).
     """
     _check_one_decoy_intensities(mu, nu)
-    y0_cap = obs.e_mu * obs.q_mu * math.exp(mu) / E0
-    y1 = max(_y1_from_bracket(obs, mu, nu, y0_cap, 0.0, y0_cap), 0.0)
-    if y1 <= 0.0:
-        e1 = 0.5
-    else:
-        e1 = min(max(obs.e_mu * obs.q_mu * math.exp(mu) / (y1 * mu), 0.0), 0.5)
-    return BoundsEstimate(
-        y0_lower=0.0,
-        y1_lower=y1,
-        q1_lower=y1 * mu * math.exp(-mu),
-        e1_upper=e1,
-        estimator="one-decoy-simple",
-    )
+    signal_error_gain = obs.e_mu * obs.q_mu * math.exp(mu)
+    y0_cap = signal_error_gain / E0
+    y1 = _y1_from_bracket(obs, mu, nu, y0_cap, 0.0, y0_cap)
+    return _estimate("one-decoy-simple", mu, 0.0, y1, _e1_from(y1, signal_error_gain, mu))
 
 
 def one_decoy_trial(obs: ObservedRates, mu: float, nu: float) -> BoundsEstimate:
@@ -233,18 +214,9 @@ def one_decoy_trial(obs: ObservedRates, mu: float, nu: float) -> BoundsEstimate:
     variant whenever both are non-vacuous.
     """
     _check_one_decoy_intensities(mu, nu)
-    y1 = max(_y1_from_bracket(obs, mu, nu, 0.0, 0.0, 0.0), 0.0)
-    if y1 <= 0.0:
-        e1 = 0.5
-    else:
-        e1 = min(max(obs.e_nu1 * obs.q_nu1 * math.exp(nu) / (y1 * nu), 0.0), 0.5)
-    return BoundsEstimate(
-        y0_lower=0.0,
-        y1_lower=y1,
-        q1_lower=y1 * mu * math.exp(-mu),
-        e1_upper=e1,
-        estimator="one-decoy-trial",
-    )
+    y1 = _y1_from_bracket(obs, mu, nu, 0.0, 0.0, 0.0)
+    e1 = _e1_from(y1, obs.e_nu1 * obs.q_nu1 * math.exp(nu), nu)
+    return _estimate("one-decoy-trial", mu, 0.0, y1, e1)
 
 
 def asymptotic_bounds(params: ExperimentParams, eta: float, mu: float) -> BoundsEstimate:
@@ -259,13 +231,7 @@ def asymptotic_bounds(params: ExperimentParams, eta: float, mu: float) -> Bounds
     if y1 <= 0.0:
         raise ValidationError("asymptotic bounds undefined: y0 + eta is zero")
     e1 = min((E0 * params.y0 + params.e_detector * eta) / y1, 0.5)
-    return BoundsEstimate(
-        y0_lower=params.y0,
-        y1_lower=y1,
-        q1_lower=y1 * mu * math.exp(-mu),
-        e1_upper=e1,
-        estimator="asymptotic",
-    )
+    return _estimate("asymptotic", mu, params.y0, y1, e1)
 
 
 def deviation_report(finite: BoundsEstimate, asymptotic: BoundsEstimate) -> DeviationReport:
@@ -306,68 +272,28 @@ def wang_delta(obs: ObservedRates, mu: float, nu: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-# --- structure of the Y1/e1 bounds as functions of the weakest decoy ---
-
-
-def scaled_gain(x: float, params: ExperimentParams, eta: float) -> float:
-    """Q_x e^x; increasing in x, which drives all monotonicity results."""
-    return overall_gain(x, params, eta) * math.exp(x)
-
-
-def scaled_error_gain(x: float, params: ExperimentParams, eta: float) -> float:
-    """E_x Q_x e^x = (E0 y0 + e_detector (1 - e^(-eta x))) e^x."""
-    if x == 0.0:
-        return E0 * params.y0
-    return overall_qber(x, params, eta) * overall_gain(x, params, eta) * math.exp(x)
-
-
-def y1_bound_gap(
-    nu2: float, mu: float, nu1: float, params: ExperimentParams, eta: float
-) -> float:
-    """Gap between the rescaled signal gain and the Y1 bound (no Y0 term).
-
-    With G(x) = Q_x e^x,
-
-        gap(nu2) = [G(mu) - mu/(nu1 - nu2) * (G(nu1) - G(nu2))]
-                   / (mu - nu1 - nu2)
-
-    and the two-decoy Y1 bound with its Y0 correction dropped satisfies
-    Y1_lower = G(mu)/mu - gap(nu2).  The gap increases with nu2, which is
-    why the weakest decoy should be vacuum.
-    """
-    _check_gap_args(nu2, mu, nu1)
-    g = lambda x: scaled_gain(x, params, eta)
-    return (g(mu) - mu / (nu1 - nu2) * (g(nu1) - g(nu2))) / (mu - nu1 - nu2)
-
-
-def error_gain_slope(
-    nu2: float, mu: float, nu1: float, params: ExperimentParams, eta: float
-) -> float:
-    """Difference quotient of the scaled error-gain between the decoys.
-
-    With J(x) = E_x Q_x e^x, returns (J(nu1) - J(nu2)) / (nu1 - nu2); the
-    e1 upper bound equals this slope divided by the Y1 lower bound.  Also
-    increasing in nu2.
-    """
-    _check_gap_args(nu2, mu, nu1)
-    j = lambda x: scaled_error_gain(x, params, eta)
-    return (j(nu1) - j(nu2)) / (nu1 - nu2)
-
-
-def _check_gap_args(nu2: float, mu: float, nu1: float) -> None:
-    # same admissible region as ProtocolIntensities
-    ProtocolIntensities(mu=mu, nu1=nu1, nu2=nu2)
-
-
 def _check_one_decoy_intensities(mu: float, nu: float) -> None:
     if not 0.0 < nu < mu:
         raise ValidationError(f"need 0 < nu < mu, got mu={mu}, nu={nu}")
-    _check_mu_max(mu)
+    _check_mu_range(mu)
+    _check_bracket(mu, nu, 0.0)
 
 
-def _check_mu_max(mu: float) -> None:
+def _check_mu_range(mu: float) -> None:
     if mu > MU_MAX:
         raise ValidationError(f"mu must be <= {MU_MAX}, where e^mu overflows a float, got {mu}")
+    if mu**2 == 0.0:
+        raise ValidationError(f"mu={mu} is too small: mu**2 underflows to 0")
+
+
+def _check_bracket(mu: float, nu1: float, nu2: float) -> None:
+    # the Y1 bracket's prefactor mu / divisor must be a finite float
+    divisor = (nu1 - nu2) * (mu - nu1 - nu2)
+    if not (divisor > 0.0 and mu / divisor < math.inf):
+        raise ValidationError(
+            f"intensities mu={mu}, nu1={nu1}, nu2={nu2} leave the Y1 bound no finite "
+            f"prefactor mu / ((nu1 - nu2)(mu - nu1 - nu2))"
+        )
 
 
 # --- adversary oracle -------------------------------------------------

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .bounds import MU_MAX, _check_mu_max, _check_one_decoy_intensities
+from .bounds import MU_MAX, _check_mu_range, _check_one_decoy_intensities
 from .model import (
     E0,
     ExperimentParams,
@@ -257,10 +257,12 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
                 y0_hats = (min(max(y0 * (1.0 + delta0), 0.0), 1.0),
                            min(max(y0 * (1.0 - delta0), 0.0), 1.0))
         # the estimator and key_rate_strong, once per vacuum-gain direction
-        if not 0.0 < nu < nu_limit:
+        # no finite scale: the divisor underflowed (it does whenever mu**2 does) or is tiny
+        divisor = nu * (mu - nu)
+        scale = mu / divisor if divisor else inf
+        if not 0.0 < nu < nu_limit or scale == inf:
             _check_one_decoy_intensities(mu, nu)  # raises its message
         ex_nu = exp(nu)
-        scale = mu / (nu * (mu - nu))
         nu2_mu2 = nu**2 / mu2
         q1_ex_nu = q1 * ex_nu
         eq1_ex_nu = e1 * q1 * ex_nu
@@ -401,7 +403,7 @@ def _search(
     nu_hi = 0.999 * mu
     if not _NU_MIN < nu_hi:
         raise ValidationError(f"mu={mu} leaves the decoy search [{_NU_MIN:g}, 0.999 mu] empty")
-    _check_mu_max(mu)
+    _check_mu_range(mu)
     with_vacuum = row.observes == VACUUM_WEAK
     worst_case = _worst_case(params, eta, row, mu)
     two_n = 2.0 * n_total

@@ -168,27 +168,6 @@ def yield_i(params: ExperimentParams, eta: float, i: int, approx: bool = False) 
     return params.y0 + eta_i - params.y0 * eta_i
 
 
-def gain_i(mu: float, params: ExperimentParams, eta: float, i: int, approx: bool = False) -> float:
-    """Joint probability of an i-photon emission and a detection."""
-    _check_mu(mu)
-    return yield_i(params, eta, i, approx=approx) * _poisson_pmf(mu, i)
-
-
-def error_i(params: ExperimentParams, eta: float, i: int, approx: bool = False) -> float:
-    """Error rate of detected i-photon pulses.
-
-    Background events are random (error rate E0); photon detections err
-    with probability e_detector.  Undefined when the yield vanishes.
-    """
-    y = yield_i(params, eta, i, approx=approx)
-    if y <= 0.0:
-        raise ValidationError(
-            f"error rate undefined: yield of the {i}-photon component is zero"
-        )
-    eta_i = photon_transmittance(eta, i)
-    return (E0 * params.y0 + params.e_detector * eta_i) / y
-
-
 def overall_gain(mu: float, params: ExperimentParams, eta: float) -> float:
     """Detection probability per pulse at mean photon number mu."""
     _check_mu(mu)
@@ -258,23 +237,6 @@ def simulate_observations(params: ExperimentParams, eta: float, intensities) -> 
     return ObservedRates(**obs)
 
 
-def poisson_tail_cutoff(mu_max: float, tail_mass: float = 1e-12) -> int:
-    """Smallest i_max whose Poisson tail beyond it is below tail_mass."""
-    _check_mu(mu_max)
-    if not 0.0 < tail_mass < 1.0:
-        raise ValidationError("tail_mass must lie in (0, 1)")
-    acc = 0.0
-    term = math.exp(-mu_max)
-    i = 0
-    while acc + term < 1.0 - tail_mass:
-        acc += term
-        i += 1
-        term *= mu_max / i
-        if i > 10_000:
-            raise ValidationError("tail cutoff search failed to converge")
-    return i
-
-
 def poisson_tail(mu: float, i_max: int) -> float:
     """Poisson tail mass sum_{i > i_max} mu^i e^(-mu) / i!."""
     _check_mu(mu)
@@ -284,12 +246,6 @@ def poisson_tail(mu: float, i_max: int) -> float:
         acc += term
         term *= mu / (i + 1)
     return max(0.0, 1.0 - acc)
-
-
-def _poisson_pmf(mu: float, i: int) -> float:
-    if i < 0:
-        raise ValidationError(f"photon number must be >= 0, got {i}")
-    return math.exp(-mu) * mu**i / math.factorial(i)
 
 
 def _unpack_intensities(intensities):

@@ -18,20 +18,22 @@ import time
 
 import numpy as np
 import pytest
-from helpers import finite_difference
+from helpers import (
+    error_gain_slope,
+    finite_difference,
+    scaled_error_gain,
+    scaled_gain,
+    y1_bound_gap,
+)
 
 from decoyqkd.bounds import (
     ProtocolIntensities,
     adversary_oracle,
     asymptotic_bounds,
     deviation_report,
-    error_gain_slope,
-    scaled_error_gain,
-    scaled_gain,
     two_decoy_bounds,
     vacuum_weak_bounds,
     wang_delta,
-    y1_bound_gap,
 )
 from decoyqkd.fluct import max_distance_fluct, optimize_allocation, scan_distance_fluct
 from decoyqkd.model import E0, GYS, KTH, simulate_observations, transmittance

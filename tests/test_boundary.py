@@ -14,11 +14,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd import cli
+from decoyqkd.bounds import MU_MAX
 from decoyqkd.fluct import DataAllocation, max_distance_fluct, optimize_allocation
-from decoyqkd.model import GYS, ValidationError, transmittance
+from decoyqkd.model import GYS, ValidationError, get_preset, transmittance
 from decoyqkd.rate import (
+    ESTIMATORS,
+    TWO_DECOY,
     KeyRateInputs,
     WangRateInputs,
+    estimate_at,
+    estimator_rate,
     key_rate_strong,
     key_rate_wang,
     optimal_mu,
@@ -193,3 +198,41 @@ def test_rate_inputs_reject_nan(field):
     if field in WANG_BASE:
         with pytest.raises(ValidationError, match=field):
             WangRateInputs(**{**WANG_BASE, field: math.nan})
+
+
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(
+    name=st.sampled_from(tuple(ESTIMATORS)),
+    preset=st.sampled_from(("GYS", "KTH")),
+    length=st.floats(0.0, 200.0),
+    mu=st.floats(math.ulp(0.0), MU_MAX),
+    nu1_frac=OPEN_UNIT,
+    nu2_frac=OPEN_UNIT,
+)
+# mu**2 underflows to 0, or the Y1 bracket's divisor nu1 (mu - nu1) underflows or
+# leaves mu / divisor infinite: a float division by zero or nan bounds before
+@example(name="vacuum-weak", preset="GYS", length=40.0, mu=1e-300, nu1_frac=0.5, nu2_frac=0.5)
+@example(name="one-decoy-trial", preset="GYS", length=40.0, mu=1e-170, nu1_frac=0.5,
+         nu2_frac=0.5)
+@example(name="two-decoy", preset="GYS", length=40.0, mu=1e-200, nu1_frac=0.5,
+         nu2_frac=1e-201 / 5e-201)
+@example(name="one-decoy-simple", preset="GYS", length=40.0, mu=0.5, nu1_frac=1e-323,
+         nu2_frac=0.5)
+@example(name="vacuum-weak", preset="GYS", length=40.0, mu=0.5, nu1_frac=2e-320, nu2_frac=0.5)
+def test_every_estimator_rejects_or_gives_finite_bounds_and_rate(name, preset, length, mu,
+                                                                   nu1_frac, nu2_frac):
+    params = get_preset(preset)
+    eta = transmittance(params, length).eta
+    nu1 = nu1_frac * mu
+    nu2 = nu2_frac * nu1 if ESTIMATORS[name].observes == TWO_DECOY else 0.0
+    try:
+        est = estimate_at(name, params, eta, mu, nu1, nu2)[1]
+        r = estimator_rate(name, params, eta, mu, nu1, nu2)
+    except ValidationError:
+        return
+    assert est is None or finite_fields(est)
+    # -inf is the documented value of a degenerate tagged-fraction bound
+    assert math.isfinite(r) or (name == "wang" and r == -math.inf)

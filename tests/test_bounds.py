@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import error_gain_slope, error_i, scaled_error_gain, scaled_gain, y1_bound_gap
 
 from decoyqkd import bounds
 from decoyqkd.bounds import (
@@ -18,24 +19,20 @@ from decoyqkd.bounds import (
     asymptotic_bounds,
     deviation_report,
     e1_upper_two_decoy,
-    error_gain_slope,
     one_decoy_simple,
     one_decoy_trial,
-    scaled_error_gain,
-    scaled_gain,
     two_decoy_bounds,
     vacuum_weak_bounds,
     wang_delta,
     y0_lower,
-    y1_bound_gap,
     y1_lower_two_decoy,
 )
 from decoyqkd.model import (
     E0,
     GYS,
+    KTH,
     ObservedRates,
     ValidationError,
-    error_i,
     overall_gain,
     simulate_observations,
     transmittance,
@@ -99,6 +96,58 @@ def test_vacuum_weak_frozen_140km():
     est = vacuum_weak_bounds(observe(ETA_140KM, 0.48, 0.12), 0.48, 0.12)
     assert est.y1_lower == pytest.approx(5.152091858271035e-05, rel=1e-12)
     assert est.e1_upper == pytest.approx(0.05484156946587497, rel=1e-9)
+
+
+def pinned_estimates(params, length, mu, nu1, nu2):
+    """repr of every estimator, and of the two-decoy pieces, at one operating point."""
+    eta = transmittance(params, length).eta
+    ints = ProtocolIntensities(mu=mu, nu1=nu1, nu2=nu2)
+    obs2 = simulate_observations(params, eta, ints)
+    obs1 = simulate_observations(params, eta, (mu, nu1))
+    y1 = y1_lower_two_decoy(obs2, ints)
+    return [
+        repr(two_decoy_bounds(obs2, ints)),
+        repr(vacuum_weak_bounds(simulate_observations(params, eta, (mu, nu1, 0.0)), mu, nu1)),
+        repr(one_decoy_trial(obs1, mu, nu1)),
+        repr(one_decoy_simple(obs1, mu, nu1)),
+        repr(asymptotic_bounds(params, eta, mu)),
+        repr((y0_lower(obs2, ints), y1, e1_upper_two_decoy(obs2, ints, y1))),
+    ]
+
+
+def test_estimators_pinned_bit_for_bit():
+    # every float as the estimators rounded it before they shared one skeleton
+    assert pinned_estimates(GYS, 40.0, 0.48, 0.12, 0.03) == [
+        "BoundsEstimate(y0_lower=0.0, y1_lower=0.006197584745941977, "
+        "q1_lower=0.0018407820048479886, e1_upper=0.04029889782218005, estimator='two-decoy')",
+        "BoundsEstimate(y0_lower=1.7e-06, y1_lower=0.006277795360991721, "
+        "q1_lower=0.0018646058431388702, e1_upper=0.03867972559426032, estimator='vacuum-weak')",
+        "BoundsEstimate(y0_lower=0.0, y1_lower=0.006295503694325054, "
+        "q1_lower=0.0018698655019692226, e1_upper=0.039696066806963595, estimator='one-decoy-trial')",
+        "BoundsEstimate(y0_lower=0.0, y1_lower=0.00280342699527867, "
+        "q1_lower=0.0008326627511133281, e1_upper=0.12456456704338964, estimator='one-decoy-simple')",
+        "BoundsEstimate(y0_lower=1.7e-06, y1_lower=0.006506178968356672, "
+        "q1_lower=0.0019324394350740096, e1_upper=0.03312202246569933, estimator='asymptotic')",
+        "(0.0, 0.006197584745941977, 0.04029889782218005)",
+    ]
+    assert pinned_estimates(KTH, 60.0, 0.55, 0.1, 0.02) == [
+        "BoundsEstimate(y0_lower=0.0003805088916371948, y1_lower=0.009023865637662014, "
+        "q1_lower=0.002863474662701449, e1_upper=0.03479690420006668, estimator='two-decoy')",
+        "BoundsEstimate(y0_lower=0.0004, y1_lower=0.009111058991169393, "
+        "q1_lower=0.0028911430665263353, e1_upper=0.03402601286861082, estimator='vacuum-weak')",
+        "BoundsEstimate(y0_lower=0.0, y1_lower=0.013838331718442119, "
+        "q1_lower=0.004391212573515601, e1_upper=0.16692857618102083, estimator='one-decoy-trial')",
+        "BoundsEstimate(y0_lower=0.0, y1_lower=0.0036167894571064495, "
+        "q1_lower=0.0011476882953050402, e1_upper=0.2173951486438609, estimator='one-decoy-simple')",
+        "BoundsEstimate(y0_lower=0.0004, y1_lower=0.009422690026066763, "
+        "q1_lower=0.0029900305730973273, e1_upper=0.030800854050997018, estimator='asymptotic')",
+        "(0.0003805088916371948, 0.009023865637662014, 0.03479690420006668)",
+    ]
+    # a floored Y1: the cap on e1 and a zero Q1
+    assert repr(one_decoy_simple(observe(ETA_40KM, 0.48, 0.05), 0.48, 0.05)) == (
+        "BoundsEstimate(y0_lower=0.0, y1_lower=0.0, q1_lower=0.0, e1_upper=0.5, "
+        "estimator='one-decoy-simple')"
+    )
 
 
 def test_deviation_report_frozen_values():

@@ -70,6 +70,23 @@ def test_bounds_rejects_bad_input(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("bounds --length 40 --mu 1e-300 --nu1 5e-301", "mu=1e-300"),
+    ("bounds --length 40 --mu 1e-170 --nu1 5e-171", "mu=1e-170"),
+    ("bounds --length 40 --mu 1e-200 --nu1 5e-201 --nu2 1e-201", "mu=1e-200"),
+    ("bounds --length 40 --mu 0.5 --nu1 5e-324", "nu1=5e-324"),
+    ("bounds --length 40 --mu 0.5 --nu1 1e-320", "nu1=1e-320"),
+    ("scan --estimator vacuum-weak --mu 1e-300 --nu1 5e-301 --steps 2", "mu=1e-300"),
+    ("scan --estimator one-decoy-simple --mu 0.5 --nu1 5e-324 --steps 2", "nu1=5e-324"),
+])
+def test_intensities_the_estimators_cannot_evaluate_are_rejected(capsys, argv, named):
+    # a mu whose square underflows, or a decoy so dim that mu / (nu1 (mu - nu1)) is no float
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert named in err
+    assert out == ""
+
+
 def test_unknown_preset_is_a_validation_error(capsys):
     code, _, err = run(capsys, "optimal-mu", "--preset", "NOPE")
     assert code == 2

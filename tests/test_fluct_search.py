@@ -101,6 +101,13 @@ def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
          mu_choice=800.0, nu_frac=0.5, w1=0.3, w2_frac=0.2, alloc_kind="search", pair=False)
 @example(preset="GYS", estimator="one-decoy", length=40.0, log_n=10.0, u_alpha=10.0,
          mu_choice=800.0, nu_frac=0.0, w1=0.3, w2_frac=0.0, alloc_kind="user", pair=True)
+# mu**2 underflows, or mu / (nu (mu - nu)) has no finite value: the estimators' intensity message
+@example(preset="GYS", estimator="vacuum-weak", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice=1e-300, nu_frac=0.5, w1=0.3, w2_frac=0.2, alloc_kind="search", pair=False)
+@example(preset="GYS", estimator="vacuum-weak", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice=0.5, nu_frac=2e-320, w1=0.3, w2_frac=0.2, alloc_kind="search", pair=False)
+@example(preset="KTH", estimator="one-decoy", length=40.0, log_n=10.0, u_alpha=0.0,
+         mu_choice=0.5, nu_frac=1e-323, w1=0.3, w2_frac=0.0, alloc_kind="search", pair=True)
 def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, log_n, u_alpha,
                                                      mu_choice, nu_frac, w1, w2_frac,
                                                      alloc_kind, pair):

@@ -9,6 +9,7 @@ separate reference script (bisection/series, no package code).
 import math
 
 import pytest
+from helpers import error_i, gain_i, poisson_tail_cutoff
 
 from decoyqkd.model import (
     E0,
@@ -17,15 +18,12 @@ from decoyqkd.model import (
     ExperimentParams,
     ObservedRates,
     ValidationError,
-    error_i,
-    gain_i,
     get_preset,
     load_params,
     overall_gain,
     overall_qber,
     photon_transmittance,
     poisson_tail,
-    poisson_tail_cutoff,
     simulate_observations,
     transmittance,
     yield_i,
