@@ -209,6 +209,12 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
     order, without building their objects, and raises what that path
     raises, on the same observable and in the same order.  What does not
     depend on f's arguments is computed and checked here, once.
+
+    f is the allocation search's inner loop, so it makes no call it can
+    avoid: it inlines _band (calling it only to raise) and binary_entropy,
+    and writes each min/max clamp as a comparison in the builtin's
+    argument order (max(r, 0.0) is ``0.0 if 0.0 > r else r``), which keeps
+    NaN and -0.0 results bit for bit.
     """
     q_mu = overall_gain(mu, params, eta)
     e_mu = overall_qber(mu, params, eta)
@@ -231,7 +237,7 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
     neg_eta = -eta
     e0_y0 = E0 * y0
     e_det = params.e_detector
-    exp, expm1, inf = math.exp, math.expm1, math.inf
+    exp, expm1, log2, sqrt, inf = math.exp, math.expm1, math.log2, math.sqrt, math.inf
 
     def worst_case(nu: float, n1: float, n2: float, q: float,
                    u_alpha: float) -> Tuple[float, float, float]:
@@ -248,14 +254,29 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
         q1, e1 = q_nu1, e_nu1
         y0_hats = (y0 if vacuum else 0.0,)  # without bands both directions coincide
         if u_alpha != 0.0:
-            q1 = max(q_nu1 * (1.0 - _band(u_alpha, "q_nu1", n1, q_nu1)), 0.0)
+            # each band is _band's u_alpha / sqrt(count), and _band raises on a count <= 0
+            count = n1 * q_nu1
+            if count <= 0.0:
+                _band(u_alpha, "q_nu1", n1, q_nu1)
+            q1 = q_nu1 * (1.0 - u_alpha / sqrt(count))
+            q1 = 0.0 if 0.0 > q1 else q1
             eq1 = e_nu1 * q_nu1
-            eq1_up = eq1 * (1.0 + _band(u_alpha, "e_nu1*q_nu1", n1, eq1))
-            e1 = min(eq1_up / q1, 1.0) if q1 > 0.0 else 1.0
+            count = n1 * eq1
+            if count <= 0.0:
+                _band(u_alpha, "e_nu1*q_nu1", n1, eq1)
+            eq1_up = eq1 * (1.0 + u_alpha / sqrt(count))
+            e1 = eq1_up / q1 if q1 > 0.0 else 1.0
+            e1 = 1.0 if 1.0 < e1 else e1
             if vacuum:
-                delta0 = _band(u_alpha, "q_nu2", n2, y0)
-                y0_hats = (min(max(y0 * (1.0 + delta0), 0.0), 1.0),
-                           min(max(y0 * (1.0 - delta0), 0.0), 1.0))
+                count = n2 * y0
+                if count <= 0.0:
+                    _band(u_alpha, "q_nu2", n2, y0)
+                delta0 = u_alpha / sqrt(count)
+                up = y0 * (1.0 + delta0)
+                up = 0.0 if 0.0 > up else up
+                down = y0 * (1.0 - delta0)
+                down = 0.0 if 0.0 > down else down
+                y0_hats = (1.0 if 1.0 < up else up, 1.0 if 1.0 < down else down)
         # the estimator and key_rate_strong, once per vacuum-gain direction
         # no finite scale: the divisor underflowed (it does whenever mu**2 does) or is tiny
         divisor = nu * (mu - nu)
@@ -268,16 +289,23 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
         eq1_ex_nu = e1 * q1 * ex_nu
         worst = y1_hat = e1_hat = None
         for y0_hat in y0_hats:
-            y1 = max(scale * (q1_ex_nu - y0_hat - nu2_mu2 * (q_mu_e_mu - y0_hat)), 0.0)
+            y1 = scale * (q1_ex_nu - y0_hat - nu2_mu2 * (q_mu_e_mu - y0_hat))
+            y1 = 0.0 if 0.0 > y1 else y1
             e1_upper = 0.5
             if y1 > 0.0:
-                e1_upper = min(max((eq1_ex_nu - E0 * y0_hat) / (y1 * nu), 0.0), 0.5)
+                e1_upper = (eq1_ex_nu - E0 * y0_hat) / (y1 * nu)
+                e1_upper = 0.0 if 0.0 > e1_upper else e1_upper
+                e1_upper = 0.5 if 0.5 < e1_upper else e1_upper
             # (y1 * mu) * e^-mu, as the estimators round it; y1 * (mu * e^-mu) differs
             q1_lower = y1 * mu * e_minus_mu
             if not (0.0 < q <= 1.0 and 0.0 <= q1_lower < inf and 0.0 <= e1_upper <= 1.0):
                 KeyRateInputs(q=q, q_mu=q_mu, e_mu=e_mu, q1_lower=q1_lower,
                               e1_upper=e1_upper, f_ec=f_ec)  # raises its message
-            rate = q * (signal + q1_lower * (1.0 - binary_entropy(e1_upper)))
+            # binary_entropy(e1_upper); the check above rejected e1_upper outside [0, 1]
+            h = 0.0
+            if e1_upper != 0.0 and e1_upper != 1.0:
+                h = -(e1_upper * log2(e1_upper) + (1.0 - e1_upper) * log2(1.0 - e1_upper))
+            rate = q * (signal + q1_lower * (1.0 - h))
             if worst is None or rate < worst:  # the +1 direction, first, wins ties
                 worst, y1_hat, e1_hat = rate, y1, e1_upper
         return worst, y1_hat, e1_hat
@@ -422,7 +450,7 @@ def _search(
             return -1.0
         if stop_if_positive and rate > 0.0:
             raise _PositiveRate
-        return max(rate, 0.0)
+        return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
     def refine(seed: Tuple[float, float, float], free_w2: bool) -> Tuple[float, Tuple[float, float, float]]:
         nu, w1, w2 = seed

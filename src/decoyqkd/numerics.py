@@ -42,27 +42,37 @@ def maximize_scalar(
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     if abs_tol <= 0.0 or rel_tol <= 0.0:
         raise ValueError("tolerances must be positive")
+    # the allocation search's line searches run this loop, so each min/max is a
+    # comparison in the builtin's argument order: NaN probes and the flat test
+    # below come out as with the builtins
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    v_lo = min(fc, fd)
-    v_hi = max(fc, fd)
+    v_lo = fd if fd < fc else fc
+    v_hi = fd if fd > fc else fc
     converged = False
     for _ in range(_MAX_ITER):
-        if (b - a) <= abs_tol + rel_tol * max(abs(a), abs(b)):
+        # max(abs(a), abs(b)) is max(-a, b), since every step keeps a <= b
+        if (b - a) <= abs_tol + rel_tol * (-a if -a > b else b):
             converged = True
             break
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
             fc = f(c)
-            v_lo, v_hi = min(v_lo, fc), max(v_hi, fc)
+            if fc < v_lo:
+                v_lo = fc
+            if fc > v_hi:
+                v_hi = fc
         else:
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = f(d)
-            v_lo, v_hi = min(v_lo, fd), max(v_hi, fd)
+            if fd < v_lo:
+                v_lo = fd
+            if fd > v_hi:
+                v_hi = fd
     if v_hi - v_lo == 0.0:
         # objective indistinguishable from a constant over every probe
         mid = 0.5 * (lo + hi)

@@ -90,6 +90,42 @@ def test_perturb_needs_expected_events():
         perturb_observations(obs, alloc)
 
 
+def poisson_cdf(k, lam):
+    """P(X <= k) for X ~ Poisson(lam), lam > k, summed down from k while the terms count."""
+    total = 0.0
+    for j in range(k, -1, -1):
+        term = math.exp(j * math.log(lam) - lam - math.lgamma(j + 1))
+        total += term
+        if term < 1e-17 * total:
+            break
+    return total
+
+
+def exact_upper_end(count, u_alpha):
+    """Mean whose Poisson(mean) <= count has the one-sided Gaussian tail mass of u_alpha."""
+    tail = 0.5 * math.erfc(u_alpha / math.sqrt(2.0))
+    lo, hi = float(count), count + 2.0 * u_alpha * math.sqrt(count) + u_alpha**2
+    assert poisson_cdf(count, hi) < tail
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if poisson_cdf(count, mid) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("count, too_narrow", [
+    (50, "31.2%"), (100, "18.4%"), (200, "10.5%"), (1000, "2.7%"), (10000, "0.3%"),
+])
+def test_gaussian_band_upper_end_against_the_exact_poisson_limit(count, too_narrow):
+    # the ten-sigma band shifts count expected events by u_alpha / sqrt(count) relative;
+    # its upper end falls short of the exact Poisson limit at the same tail mass (7.6e-24)
+    gaussian = count * (1.0 + fluct._band(10.0, "count", count, 1.0))
+    assert gaussian == pytest.approx(count + 10.0 * math.sqrt(count), rel=1e-15)
+    assert f"{exact_upper_end(count, 10.0) / gaussian - 1.0:.1%}" == too_narrow
+
+
 def test_fluctuated_bounds_validation():
     alloc = make_alloc()
     with pytest.raises(ValidationError):

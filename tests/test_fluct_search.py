@@ -21,9 +21,11 @@ from decoyqkd.fluct import (
     fluctuated_bounds,
     max_distance_fluct,
     optimize_allocation,
+    perturb_observations,
+    scan_distance_fluct,
 )
-from decoyqkd.model import GYS, KTH, ValidationError, transmittance
-from decoyqkd.rate import get_estimator, optimal_mu
+from decoyqkd.model import GYS, KTH, ValidationError, simulate_observations, transmittance
+from decoyqkd.rate import ESTIMATORS, VACUUM_WEAK, get_estimator, optimal_mu
 
 GYS_MU = optimal_mu(GYS)
 KTH_MU = optimal_mu(KTH)
@@ -82,6 +84,29 @@ def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
     assert full[0] is InsufficientDataError
 
 
+# one search point per clamp of the kernel, each checked below to reach it
+CLAMPS = {
+    "q1 floored at 0": dict(
+        preset="GYS", estimator="one-decoy", length=25.2, log_n=4.8, u_alpha=9.6,
+        mu_choice="optimal", nu_frac=0.31, w1=0.66, w2_frac=0.9, alloc_kind="search", pair=False),
+    "e1 capped at 1": dict(
+        preset="KTH", estimator="vacuum-weak", length=168.1, log_n=6.5, u_alpha=10.3,
+        mu_choice=0.88, nu_frac=0.41, w1=0.3, w2_frac=0.0, alloc_kind="search", pair=False),
+    "vacuum band floored at 0": dict(
+        preset="GYS", estimator="vacuum-weak", length=144.6, log_n=5.1, u_alpha=6.5,
+        mu_choice=0.12, nu_frac=0.87, w1=0.9, w2_frac=0.49, alloc_kind="search", pair=False),
+    "e1_hat clamped to 0": dict(
+        preset="KTH", estimator="vacuum-weak", length=13.5, log_n=4.4, u_alpha=3.6,
+        mu_choice="optimal", nu_frac=0.12, w1=0.86, w2_frac=0.28, alloc_kind="search", pair=False),
+    "e1_hat clamped to 0.5": dict(
+        preset="GYS", estimator="vacuum-weak", length=147.1, log_n=9.1, u_alpha=11.2,
+        mu_choice="optimal", nu_frac=0.04, w1=0.57, w2_frac=0.0, alloc_kind="search", pair=False),
+    "Y1 floored at 0": dict(
+        preset="KTH", estimator="one-decoy", length=7.3, log_n=11.7, u_alpha=5.8,
+        mu_choice=1.1, nu_frac=0.96, w1=0.32, w2_frac=0.0, alloc_kind="search", pair=False),
+}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(
     preset=st.sampled_from(("GYS", "KTH")),
@@ -108,6 +133,12 @@ def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
          mu_choice=0.5, nu_frac=2e-320, w1=0.3, w2_frac=0.2, alloc_kind="search", pair=False)
 @example(preset="KTH", estimator="one-decoy", length=40.0, log_n=10.0, u_alpha=0.0,
          mu_choice=0.5, nu_frac=1e-323, w1=0.3, w2_frac=0.0, alloc_kind="search", pair=True)
+@example(**CLAMPS["q1 floored at 0"])
+@example(**CLAMPS["e1 capped at 1"])
+@example(**CLAMPS["vacuum band floored at 0"])
+@example(**CLAMPS["e1_hat clamped to 0"])
+@example(**CLAMPS["e1_hat clamped to 0.5"])
+@example(**CLAMPS["Y1 floored at 0"])
 def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, log_n, u_alpha,
                                                      mu_choice, nu_frac, w1, w2_frac,
                                                      alloc_kind, pair):
@@ -137,6 +168,43 @@ def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, l
 
         assert outcome(lambda: search_rate(params, eta, estimator, mu, n_total, u_alpha,
                                            nu, w1, w2)) == outcome(oracle_rate)
+
+
+def clamps_reached(preset, estimator, length, log_n, u_alpha, mu_choice, nu_frac, w1, w2_frac,
+                   alloc_kind, pair):
+    """The CLAMPS keys that the object path reaches at one search point, either direction."""
+    params, mu = {"GYS": (GYS, GYS_MU), "KTH": (KTH, KTH_MU)}[preset]
+    if mu_choice != "optimal":
+        mu = mu_choice
+    alloc = fluct._make_alloc(10.0**log_n, w1, w2_frac * (fluct._W_MAX - w1), u_alpha)
+    row = get_estimator(estimator, finite_size=True)
+    vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
+    if not vacuum:
+        row = ESTIMATORS["one-decoy"]
+    ints = row.intensities(mu, nu_frac * mu)
+    obs = simulate_observations(params, transmittance(params, length).eta, ints)
+    reached = set()
+    for direction in (+1, -1) if vacuum else (+1,):
+        shifted = perturb_observations(obs, alloc, direction)
+        est = row.estimate(shifted, ints)
+        if shifted.q_nu1 == 0.0:
+            reached.add("q1 floored at 0")
+        elif shifted.e_nu1 == 1.0:
+            reached.add("e1 capped at 1")
+        if vacuum and direction == -1 and shifted.q_nu2 == 0.0:
+            reached.add("vacuum band floored at 0")
+        if est.y1_lower == 0.0:
+            reached.add("Y1 floored at 0")
+        elif est.e1_upper == 0.0:
+            reached.add("e1_hat clamped to 0")
+        elif est.e1_upper == 0.5:
+            reached.add("e1_hat clamped to 0.5")
+    return reached
+
+
+@pytest.mark.parametrize("clamp", CLAMPS)
+def test_each_clamp_example_reaches_its_clamp(clamp):
+    assert clamp in clamps_reached(**CLAMPS[clamp])
 
 
 # lengths just inside and just beyond each reach
@@ -209,3 +277,24 @@ def test_table2_evaluation_count(monkeypatch):
     )
     assert f"{res.nu:.4f}" == "0.1206"
     assert (n, n_bounds) == (1107, 1)
+
+
+def test_warm_started_scan_pinned(monkeypatch):
+    # each length seeds its search with the last optimum; 125 km is past the reach
+    points, n, n_bounds = count_calls(
+        monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
+    assert [repr(p) for p in points] == [
+        "ScanPoint(length_km=20.0, rate_lower=0.0007615512692223492, nu=0.04413831917509468, "
+        "n_signal=5657187999.975581, n_decoy1=342812000.02441853, n_decoy2=0.0, "
+        "key_bits=4569307.615334095, low_count_observables=())",
+        "ScanPoint(length_km=60.0, rate_lower=8.692657938398857e-05, nu=0.07545181984018311, "
+        "n_signal=5377408406.925327, n_decoy1=622591593.0746729, n_decoy2=0.0, "
+        "key_bits=521559.4763039314, low_count_observables=())",
+        "ScanPoint(length_km=100.0, rate_lower=5.7869309757010755e-06, nu=0.11631438785567137, "
+        "n_signal=4351248525.077834, n_decoy1=1412160253.1112576, n_decoy2=236591221.81090876, "
+        "key_bits=34721.58585420645, low_count_observables=())",
+        "ScanPoint(length_km=125.0, rate_lower=-1.144193145000251e-06, nu=0.11631438785567137, "
+        "n_signal=4351248525.077834, n_decoy1=1412160253.1112576, n_decoy2=236591221.81090876, "
+        "key_bits=0.0, low_count_observables=())",
+    ]
+    assert (n, n_bounds) == (4914, 4)

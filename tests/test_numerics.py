@@ -53,6 +53,32 @@ def test_maximize_scalar_flat_objective():
     assert res.value == 7.0
 
 
+# repr of each result, recorded before the search's bookkeeping lost its min/max
+# calls; (f, lo, hi) at the allocation search's tolerances
+MAXIMIZE_PINS = {
+    # the first probe is NaN, which builtin min/max keep as the running extreme
+    "nan first": ((lambda x: math.nan if x < 0.5 else 1.0), 0.0, 1.0,
+                  "MaximizeResult(x=0.5000011384231473, value=1.0, converged=True)"),
+    # NaN after a number, which they ignore: the probes look flat
+    "nan later": ((lambda x: math.nan if x > 0.6 else -((x - 0.3) ** 2)), 0.0, 1.0,
+                  "MaximizeResult(x=0.5, value=-0.04000000000000001, converged=False)"),
+    "ties": ((lambda x: 1.0 if 0.2 < x < 0.8 else 0.0), 0.0, 1.0,
+             "MaximizeResult(x=0.2000001074980999, value=1.0, converged=True)"),
+    # the tolerance grows with max(|a|, |b|), which is |a| here; with b in its place
+    # it would fall below 0 and the search would never converge
+    "lo < 0": ((lambda x: -((x + 30.0) ** 2)), -100.0, 10.0,
+               "MaximizeResult(x=-30.000001083721255, value=-1.1744517584466186e-12, "
+               "converged=True)"),
+    "flat": ((lambda x: 7.0), 0.0, 4.0, "MaximizeResult(x=2.0, value=7.0, converged=False)"),
+}
+
+
+@pytest.mark.parametrize("case", MAXIMIZE_PINS)
+def test_maximize_scalar_pinned_bit_for_bit(case):
+    f, lo, hi, expected = MAXIMIZE_PINS[case]
+    assert repr(maximize_scalar(f, lo, hi, 1e-5, 1e-6)) == expected
+
+
 def test_finite_difference_sine():
     d = finite_difference(math.sin, 0.7, h=1e-6)
     assert d == pytest.approx(math.cos(0.7), abs=1e-9)
