@@ -378,7 +378,10 @@ _MAX_CYCLES = 12
 
 
 class _PositiveRate(Exception):
-    """A reach probe's search met a positive rate, which settles its sign."""
+    """A reach probe's search met a positive rate, which settles its sign.
+
+    args[0] is the point (nu, w1, w2) where it met it.
+    """
 
 
 def optimize_allocation(
@@ -395,9 +398,9 @@ def optimize_allocation(
     Coordinate descent with golden-section line searches on the decoy
     intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, restarted
     from each seed; for vacuum+weak the w2 = 0 corner (which degrades to
-    the one-decoy analysis) is optimized separately and kept when it
-    wins.  Each descent stops once a cycle gains less than _REL_TOL
-    relative, or after _MAX_CYCLES cycles.
+    the one-decoy analysis) is then optimized once, from the best point
+    found with w2 free, and kept when it wins.  Each descent stops once a
+    cycle gains less than _REL_TOL relative, or after _MAX_CYCLES cycles.
     """
     return _search(params, eta, mu, n_total, u_alpha, estimator, seeds, stop_if_positive=False)
 
@@ -411,13 +414,15 @@ def _search(
     estimator: str,
     seeds: Sequence[Tuple[float, float, float]],
     stop_if_positive: bool,
+    start: Optional[Tuple[float, float, float]] = None,
 ) -> AllocationResult:
     """optimize_allocation; with stop_if_positive, raise _PositiveRate at the first rate > 0.
 
     The best value the search returns is the running maximum of its
     evaluations (the line searches keep their better interior point and
     refine keeps only gains), so the first positive evaluation already
-    decides that the optimum is positive.
+    decides that the optimum is positive.  A ``start`` point, if given,
+    is evaluated before the search.
     """
     row = get_estimator(estimator, finite_size=True)
     if not 0.0 < n_total < math.inf:
@@ -449,7 +454,7 @@ def _search(
         except InsufficientDataError:
             return -1.0
         if stop_if_positive and rate > 0.0:
-            raise _PositiveRate
+            raise _PositiveRate((nu, w1, w2))
         return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
     def refine(seed: Tuple[float, float, float], free_w2: bool) -> Tuple[float, Tuple[float, float, float]]:
@@ -480,11 +485,12 @@ def _search(
                 break
         return best, (nu, w1, w2)
 
-    candidates = []
-    for seed in seeds:
-        candidates.append(refine(seed, free_w2=with_vacuum))
-        if with_vacuum:
-            candidates.append(refine(seed, free_w2=False))
+    if start is not None:
+        evaluate(*start)
+    candidates = [refine(seed, free_w2=with_vacuum) for seed in seeds]
+    if with_vacuum:
+        # the w2 = 0 corner, once, from the first best point with w2 free
+        candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
     _, (nu, w1, w2) = max(candidates, key=lambda c: c[0])
     alloc = _make_alloc(n_total, w1, w2, u_alpha)
     fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
@@ -493,15 +499,23 @@ def _search(
 
 def _optimum_is_positive(
     params: ExperimentParams, eta: float, mu: float, n_total: float, u_alpha: float,
-    estimator: str,
-) -> bool:
-    """optimize_allocation(...).result.rate_lower > 0, stopping at the first positive rate."""
+    estimator: str, start: Optional[Tuple[float, float, float]] = None,
+) -> Optional[Tuple[float, float, float]]:
+    """A point (nu, w1, w2) with a positive rate, or None if the optimum is not positive.
+
+    The search is optimize_allocation's, stopped at its first positive
+    rate.  ``start``, a point where another probe of the same link met
+    its first positive rate, is evaluated first: see max_distance_fluct
+    for why that is exact.
+    """
     try:
         res = _search(params, eta, mu, n_total, u_alpha, estimator, _DEFAULT_SEEDS,
-                      stop_if_positive=True)
-    except _PositiveRate:
-        return True
-    return res.result.rate_lower > 0.0
+                      stop_if_positive=True, start=start)
+    except _PositiveRate as hit:
+        return hit.args[0]
+    if res.result.rate_lower > 0.0:
+        return res.nu, res.alloc.n_decoy1 / n_total, res.alloc.n_decoy2 / n_total
+    return None
 
 
 def _make_alloc(n_total: float, w1: float, w2: float, u_alpha: float) -> DataAllocation:
@@ -578,9 +592,24 @@ def max_distance_fluct(
     """
     if not 1.0 < l_hi < math.inf:
         raise ValidationError(f"l_hi must be finite and > 1 km, got {l_hi}")
+    # Each probe starts at the last positive point, which is exact.  Until
+    # its first positive evaluation a probe's values are 0 (clamped) or -1
+    # (off the box, or no data) at every length, so its golden-section
+    # steps do not depend on the length: every probe walks one fixed path
+    # of points up to its first positive one.  The carried point lies on
+    # that path, so where it is positive the probe would also have met a
+    # positive rate, on it or before it.  This needs the kernel never to
+    # return NaN and never to raise InsufficientDataError on part of that
+    # path only: either would make the path depend on the length.
+    positive_at = None
 
     def sign(length: float) -> float:
+        nonlocal positive_at
         eta = transmittance(params, length).eta
-        return 1.0 if _optimum_is_positive(params, eta, mu, n_total, u_alpha, estimator) else -1.0
+        point = _optimum_is_positive(params, eta, mu, n_total, u_alpha, estimator, positive_at)
+        if point is None:
+            return -1.0
+        positive_at = point
+        return 1.0
 
     return find_zero_crossing(sign, 1.0, l_hi, 8.0, x_tol=0.05)

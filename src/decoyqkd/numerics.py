@@ -37,11 +37,13 @@ def maximize_scalar(
 
     The search stops once its bracket [a, b] is no wider than
     ``abs_tol + rel_tol * max(|a|, |b|)``, or after 200 iterations.
+    Needs -inf < lo < hi < inf and finite tolerances > 0 (else ValueError).
     """
-    if not lo < hi:
-        raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
-    if abs_tol <= 0.0 or rel_tol <= 0.0:
-        raise ValueError("tolerances must be positive")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need -inf < lo < hi < inf, got lo={lo}, hi={hi}")
+    for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
+        if not 0.0 < tol < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {tol}")
     # the allocation search's line searches run this loop, so each min/max is a
     # comparison in the builtin's argument order: NaN probes and the flat test
     # below come out as with the builtins

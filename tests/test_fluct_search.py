@@ -9,6 +9,9 @@ deterministic, so they are pinned: a change to the search that moves
 them should say so.
 """
 
+import dataclasses
+import math
+
 import pytest
 from fluct_oracle import oracle_fluctuated_bounds
 from hypothesis import example, given, settings
@@ -223,73 +226,142 @@ def test_early_exit_sign_equals_the_full_optimum(params, mu, n_total, estimator,
                                                  expected):
     eta = transmittance(params, length).eta
     full = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
-    early = fluct._optimum_is_positive(params, eta, mu, n_total, 10.0, estimator)
+    early = fluct._optimum_is_positive(params, eta, mu, n_total, 10.0, estimator) is not None
     assert early == (full.result.rate_lower > 0.0) == expected
+    # a probe that starts at the positive point a probe at another length met
+    for other in (1.0, length - 0.1):
+        carried = fluct._optimum_is_positive(params, transmittance(params, other).eta, mu,
+                                             n_total, 10.0, estimator)
+        assert carried is not None
+        started = fluct._optimum_is_positive(params, eta, mu, n_total, 10.0, estimator, carried)
+        assert (started is not None) == expected
 
 
-def count_calls(monkeypatch, fn):
-    """(fn(), search evaluations, fluctuated_bounds calls) while fn runs.
+def record_calls(monkeypatch, fn):
+    """(fn(), the arguments of each search evaluation, fluctuated_bounds calls) while fn runs.
 
     A search evaluation is one kernel call the search makes; the two
-    that each fluctuated_bounds call makes are not counted.
+    that each fluctuated_bounds call makes are not recorded.
     """
-    calls = {"kernel": 0, "fluctuated_bounds": 0}
+    points = []
+    n_bounds = 0
     in_bounds = []
     build, bounds = fluct._worst_case, fluct.fluctuated_bounds
 
-    def counted_build(*args):
+    def recorded_build(*args):
         kernel = build(*args)
         if in_bounds:
             return kernel
 
-        def counted(*point):
-            calls["kernel"] += 1
+        def recorded(*point):
+            points.append(point)
             return kernel(*point)
 
-        return counted
+        return recorded
 
     def counted_bounds(*args, **kwargs):
-        calls["fluctuated_bounds"] += 1
+        nonlocal n_bounds
+        n_bounds += 1
         in_bounds.append(True)
         try:
             return bounds(*args, **kwargs)
         finally:
             in_bounds.pop()
 
-    monkeypatch.setattr(fluct, "_worst_case", counted_build)
-    monkeypatch.setattr(fluct, "fluctuated_bounds", counted_bounds)
-    return fn(), calls["kernel"], calls["fluctuated_bounds"]
+    with monkeypatch.context() as patch:
+        patch.setattr(fluct, "_worst_case", recorded_build)
+        patch.setattr(fluct, "fluctuated_bounds", counted_bounds)
+        result = fn()
+    return result, points, n_bounds
+
+
+def count_calls(monkeypatch, fn):
+    """(fn(), search evaluations, fluctuated_bounds calls) while fn runs."""
+    result, points, n_bounds = record_calls(monkeypatch, fn)
+    return result, len(points), n_bounds
+
+
+# (reach, search evaluations, fluctuated_bounds calls), one fluctuated_bounds
+# per negative probe.  22,412 GYS evaluations before the probes stopped at
+# their first positive rate; (3,336 / 1,131 / 2,807) before the w2 = 0
+# corner was optimized once per search and each probe started at the last
+# positive point
+REACH_PINS = [
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 2209, 7),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 975, 5),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 2045, 6),
+]
 
 
 def test_reach_evaluation_count(monkeypatch):
-    # 22,412 evaluations before the probes stopped at their first positive
-    # rate; 3,343 = 3,336 + 7 after, one fluctuated_bounds per negative probe
-    reach, n, n_bounds = count_calls(
-        monkeypatch, lambda: max_distance_fluct(GYS, GYS_MU, 6.0e9))
-    assert reach == 123.078125
-    assert (n, n_bounds) == (3336, 7)
+    for params, mu, n_total, estimator, reach, evaluations, n_bounds in REACH_PINS:
+        found = count_calls(
+            monkeypatch, lambda: max_distance_fluct(params, mu, n_total, estimator=estimator))
+        assert found == (reach, evaluations, n_bounds)
+
+
+@pytest.mark.parametrize("params, mu, n_total, estimator, positive, negative", [
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", (1.0, 60.0, 120.0, 123.0), (123.1, 200.0)),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", (1.0, 60.0, 120.2), (120.3, 200.0)),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", (1.0, 30.0, 66.7), (66.8, 120.0)),
+])
+def test_probes_walk_one_path_until_their_first_positive_rate(monkeypatch, params, mu,
+                                                              n_total, estimator, positive,
+                                                              negative):
+    # why a reach probe may start at the point where the last positive probe
+    # stopped: before a positive rate every probe evaluates the same points
+    def probe(length):
+        eta = transmittance(params, length).eta
+        return record_calls(monkeypatch, lambda: fluct._optimum_is_positive(
+            params, eta, mu, n_total, 10.0, estimator))
+
+    _, path, _ = probe(negative[-1])
+    for length in negative:
+        point, points, _ = probe(length)
+        assert point is None and points == path
+    for length in positive:
+        point, points, _ = probe(length)
+        assert point is not None and points == path[:len(points)]
+    # which holds because along that path the kernel never returns NaN, and
+    # raises InsufficientDataError at every length or at none
+    row = get_estimator(estimator, finite_size=True)
+    outcomes = set()
+    for length in positive + negative:
+        kernel = fluct._worst_case(params, transmittance(params, length).eta, row, mu)
+        raised = []
+        for i, args in enumerate(path):
+            try:
+                rate = kernel(*args)[0]
+            except InsufficientDataError:
+                raised.append(i)
+            else:
+                assert not math.isnan(rate)
+        outcomes.add(tuple(raised))
+    assert len(outcomes) == 1
 
 
 def test_table2_evaluation_count(monkeypatch):
+    # 1,107 evaluations before the w2 = 0 corner was optimized once per search
     eta = transmittance(GYS, 103.62).eta
     res, n, n_bounds = count_calls(
         monkeypatch, lambda: optimize_allocation(GYS, eta, GYS_MU, 6.0e9, u_alpha=10.0)
     )
     assert f"{res.nu:.4f}" == "0.1206"
-    assert (n, n_bounds) == (1107, 1)
+    assert (n, n_bounds) == (799, 1)
 
 
 def test_warm_started_scan_pinned(monkeypatch):
-    # each length seeds its search with the last optimum; 125 km is past the reach
+    # each length seeds its search with the last optimum; 125 km is past the reach.
+    # One corner search raised R_L at 20 and 60 km and cut 4,914 evaluations to 3,367
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
     assert [repr(p) for p in points] == [
-        "ScanPoint(length_km=20.0, rate_lower=0.0007615512692223492, nu=0.04413831917509468, "
-        "n_signal=5657187999.975581, n_decoy1=342812000.02441853, n_decoy2=0.0, "
-        "key_bits=4569307.615334095, low_count_observables=())",
-        "ScanPoint(length_km=60.0, rate_lower=8.692657938398857e-05, nu=0.07545181984018311, "
+        "ScanPoint(length_km=20.0, rate_lower=0.0007615513059530284, nu=0.04418017837456577, "
+        "n_signal=5657266365.853625, n_decoy1=342733634.14637506, n_decoy2=0.0, "
+        "key_bits=4569307.835718171, low_count_observables=())",
+        "ScanPoint(length_km=60.0, rate_lower=8.692657945117281e-05, nu=0.07544612788762885, "
         "n_signal=5377408406.925327, n_decoy1=622591593.0746729, n_decoy2=0.0, "
-        "key_bits=521559.4763039314, low_count_observables=())",
+        "key_bits=521559.47670703684, low_count_observables=())",
         "ScanPoint(length_km=100.0, rate_lower=5.7869309757010755e-06, nu=0.11631438785567137, "
         "n_signal=4351248525.077834, n_decoy1=1412160253.1112576, n_decoy2=236591221.81090876, "
         "key_bits=34721.58585420645, low_count_observables=())",
@@ -297,4 +369,56 @@ def test_warm_started_scan_pinned(monkeypatch):
         "n_signal=4351248525.077834, n_decoy1=1412160253.1112576, n_decoy2=236591221.81090876, "
         "key_bits=0.0, low_count_observables=())",
     ]
-    assert (n, n_bounds) == (4914, 4)
+    assert (n, n_bounds) == (3367, 4)
+
+
+def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
+    """The best positive rate on a size**3 kernel grid over (nu, w1, w2), w2 = 0 included, or None."""
+    kernel = fluct._worst_case(params, eta, get_estimator(estimator, finite_size=True), mu)
+    nu_hi = 0.999 * mu
+    best = None
+    for i in range(size):
+        nu = fluct._NU_MIN + (nu_hi - fluct._NU_MIN) * i / (size - 1)
+        for j in range(size):
+            w1 = 0.01 + (fluct._W_MAX - 0.02) * j / (size - 1)
+            for k in range(size):
+                w2 = (fluct._W_MAX - 0.01) * k / (size - 1)
+                if w1 + w2 > fluct._W_MAX:
+                    break
+                n1, n2 = w1 * n_total, w2 * n_total
+                try:
+                    rate = kernel(nu, n1, n2, (n_total - n1 - n2) / (2.0 * n_total), 10.0)[0]
+                except InsufficientDataError:
+                    continue
+                if rate > 0.0 and (best is None or rate > best):
+                    best = rate
+    return best
+
+
+@pytest.mark.parametrize("estimator", ["vacuum-weak", "one-decoy"])
+@pytest.mark.parametrize("params, mu, n_total, length", [
+    (GYS, GYS_MU, 6.0e9, length) for length in (5.0, 20.0, 60.0, 100.0, 103.62, 115.0)
+] + [
+    (KTH, KTH_MU, 8.4e10, length) for length in (5.0, 30.0, 55.0, 62.0)
+])
+def test_search_is_at_least_the_best_of_a_kernel_grid(params, mu, n_total, length, estimator):
+    # a check on the search that does not run it: no grid point beats the optimum
+    eta = transmittance(params, length).eta
+    grid = kernel_grid_best(params, eta, mu, n_total, estimator)
+    if grid is not None:
+        found = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
+        assert found.result.rate_lower >= grid
+
+
+@pytest.mark.parametrize("y0", [1.7e-6, 1e-7, 1e-8, 1e-10])
+@pytest.mark.parametrize("n_total", [6.0e9, 1.0e11])
+def test_vacuum_weak_reaches_at_least_as_far_as_one_decoy(y0, n_total):
+    # at low y0 the w2 = 0 corner, which is the one-decoy analysis, decides
+    # the vacuum+weak reach, so a weaker corner search would shorten it
+    params = dataclasses.replace(GYS, y0=y0)
+    vacuum_weak = max_distance_fluct(params, GYS_MU, n_total)
+    one_decoy = max_distance_fluct(params, GYS_MU, n_total, estimator="one-decoy")
+    assert one_decoy is not None
+    assert vacuum_weak >= one_decoy
+    if (y0, n_total) == (1e-7, 6.0e9):
+        assert vacuum_weak == one_decoy == 157.953125

@@ -23,6 +23,30 @@ def test_maximize_scalar_rejects_bad_input():
         maximize_scalar(math.sin, 0.0, 1.0, 1e-10, -1e-9)
 
 
+def parabola_at_one(x):
+    return -((x - 1.0) ** 2)
+
+
+# an infinite end used to come back as converged: x=inf from (0, inf), x=nan from (-inf, 5)
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, math.inf), (-math.inf, 5.0), (-math.inf, math.inf), (math.nan, 5.0), (0.0, math.nan),
+])
+def test_maximize_scalar_rejects_an_infinite_bracket(lo, hi):
+    with pytest.raises(ValueError, match="lo < hi"):
+        maximize_scalar(parabola_at_one, lo, hi, 1e-5, 1e-6)
+
+
+# abs_tol = nan used to run all 200 iterations without a word
+@pytest.mark.parametrize("name, abs_tol, rel_tol", [
+    ("abs_tol", math.nan, 1e-6), ("abs_tol", math.inf, 1e-6), ("abs_tol", 0.0, 1e-6),
+    ("rel_tol", 1e-5, math.nan), ("rel_tol", 1e-5, math.inf), ("rel_tol", 1e-5, -1e-6),
+])
+def test_maximize_scalar_rejects_a_tolerance_that_is_not_finite_and_positive(name, abs_tol,
+                                                                             rel_tol):
+    with pytest.raises(ValueError, match=name):
+        maximize_scalar(parabola_at_one, 0.0, 5.0, abs_tol, rel_tol)
+
+
 def test_find_zero_crossing_cosine():
     root = find_zero_crossing(math.cos, 1.0, 2.0, 1.0, x_tol=1e-9)
     assert root == pytest.approx(math.pi / 2.0, abs=1e-8)
