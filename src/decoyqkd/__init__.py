@@ -48,10 +48,8 @@ from .model import (
     load_params,
     overall_gain,
     overall_qber,
-    photon_transmittance,
     simulate_observations,
     transmittance,
-    yield_i,
 )
 from .rate import (
     KeyRateInputs,

@@ -28,6 +28,8 @@ from . import bounds as bounds_mod
 from . import fluct as fluct_mod
 from . import rate as rate_mod
 from .model import (
+    GYS,
+    KTH,
     ExperimentParams,
     ValidationError,
     get_preset,
@@ -129,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fluct_optimize)
 
     p = sub.add_parser("reproduce", help="canned figure/table datasets")
-    p.add_argument("target", choices=("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "table2"))
+    p.add_argument("target", choices=tuple(_REPRODUCE))
     p.add_argument("--out", default=None, help="CSV destination (default: stdout)")
     p.set_defaults(func=cmd_reproduce)
 
@@ -344,22 +346,10 @@ def cmd_fluct_optimize(args) -> None:
 
 
 def cmd_reproduce(args) -> None:
-    target = args.target
-    fn = {
-        "fig1": _reproduce_fig1,
-        "fig2": _reproduce_fig2,
-        "fig3": _reproduce_fig3,
-        "fig4": _reproduce_fig4,
-        "fig5": _reproduce_fig5,
-        "fig6": _reproduce_fig6,
-        "table2": _reproduce_table2,
-    }[target]
-    fn(args.out)
+    _REPRODUCE[args.target](args.out)
 
 
 def _reproduce_fig1(out: Optional[str]) -> None:
-    from .model import GYS
-
     mu = CURVE_MU
     rows = []
     for idx in range(1, 26):
@@ -383,8 +373,6 @@ def _reproduce_fig1(out: Optional[str]) -> None:
 
 
 def _reproduce_fig2(out: Optional[str]) -> None:
-    from .model import GYS
-
     fns = {
         "rate_asymptotic": _noiseless_rate_fn(GYS, "asymptotic", CURVE_MU),
         "rate_vacuum_weak": _noiseless_rate_fn(GYS, "vacuum-weak", CURVE_MU),
@@ -401,8 +389,6 @@ def _reproduce_fig2(out: Optional[str]) -> None:
 
 
 def _reproduce_fig3(out: Optional[str]) -> None:
-    from .model import GYS
-
     mu = rate_mod.optimal_mu(GYS)
     grid = _grid(5.0, 121.0, 30)
     vw = fluct_mod.scan_distance_fluct(GYS, mu, PULSES_DEFAULT, grid, estimator="vacuum-weak")
@@ -446,27 +432,7 @@ def _fluct_figure(params, n_pulses, grid, wang_mu: Optional[float], out: Optiona
         _print_reach(f"max_distance_km[wang mu={wang_mu:g}]", rate_mod.max_secure_distance(wang_fn))
 
 
-def _reproduce_fig4(out: Optional[str]) -> None:
-    from .model import GYS
-
-    _fluct_figure(GYS, PULSES_DEFAULT, _grid(5.0, 121.0, 30), None, out)
-
-
-def _reproduce_fig5(out: Optional[str]) -> None:
-    from .model import GYS
-
-    _fluct_figure(GYS, PULSES_LARGE, _grid(5.0, 129.0, 30), CURVE_WANG_MU_GYS, out)
-
-
-def _reproduce_fig6(out: Optional[str]) -> None:
-    from .model import KTH
-
-    _fluct_figure(KTH, PULSES_LARGE, _grid(2.0, 66.0, 30), CURVE_WANG_MU_KTH, out)
-
-
 def _reproduce_table2(out: Optional[str]) -> None:
-    from .model import GYS
-
     length = 103.62
     n_total = PULSES_DEFAULT
     mu = rate_mod.optimal_mu(GYS)
@@ -484,6 +450,20 @@ def _reproduce_table2(out: Optional[str]) -> None:
     print(f"N_S/N = {alloc.n_signal / alloc.n_total:.4f}")
     print(f"B_bits = {fb.key_bits_lower:.4e}")
     print(f"beta_y1 = {100 * fb.beta_y1:.2f}%")
+
+
+# every `reproduce` target, in the order the parser lists them
+_REPRODUCE = {
+    "fig1": _reproduce_fig1,
+    "fig2": _reproduce_fig2,
+    "fig3": _reproduce_fig3,
+    "fig4": lambda out: _fluct_figure(GYS, PULSES_DEFAULT, _grid(5.0, 121.0, 30), None, out),
+    "fig5": lambda out: _fluct_figure(GYS, PULSES_LARGE, _grid(5.0, 129.0, 30),
+                                      CURVE_WANG_MU_GYS, out),
+    "fig6": lambda out: _fluct_figure(KTH, PULSES_LARGE, _grid(2.0, 66.0, 30),
+                                      CURVE_WANG_MU_KTH, out),
+    "table2": _reproduce_table2,
+}
 
 
 if __name__ == "__main__":

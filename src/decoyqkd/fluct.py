@@ -402,7 +402,10 @@ def optimize_allocation(
     found with w2 free, and kept when it wins.  Each descent stops once a
     cycle gains less than _REL_TOL relative, or after _MAX_CYCLES cycles.
     """
-    return _search(params, eta, mu, n_total, u_alpha, estimator, seeds, stop_if_positive=False)
+    nu, w1, w2 = _search(params, eta, mu, n_total, u_alpha, estimator, seeds)
+    alloc = _make_alloc(n_total, w1, w2, u_alpha)
+    fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
+    return AllocationResult(alloc=alloc, nu=nu, result=fb)
 
 
 def _search(
@@ -413,16 +416,18 @@ def _search(
     u_alpha: float,
     estimator: str,
     seeds: Sequence[Tuple[float, float, float]],
-    stop_if_positive: bool,
-    start: Optional[Tuple[float, float, float]] = None,
-) -> AllocationResult:
-    """optimize_allocation; with stop_if_positive, raise _PositiveRate at the first rate > 0.
+    probe: Optional[Sequence[Tuple[float, float, float]]] = None,
+) -> Tuple[float, float, float]:
+    """optimize_allocation's best point (nu, w1, w2).
 
-    The best value the search returns is the running maximum of its
-    evaluations (the line searches keep their better interior point and
-    refine keeps only gains), so the first positive evaluation already
-    decides that the optimum is positive.  A ``start`` point, if given,
-    is evaluated before the search.
+    With ``probe=None`` the search optimizes.  A tuple of points (``()``
+    for none) makes it a reach probe: it evaluates those points first and
+    raises _PositiveRate at its first rate > 0.  The best value the search
+    returns is the running maximum of its evaluations (the line searches
+    keep their better interior point and refine keeps only gains), so that
+    evaluation already decides that the optimum is positive.  When no
+    evaluation had data, the search raises what fluctuated_bounds raises
+    at its best point, in either mode.
     """
     row = get_estimator(estimator, finite_size=True)
     if not 0.0 < n_total < math.inf:
@@ -440,6 +445,7 @@ def _search(
     with_vacuum = row.observes == VACUUM_WEAK
     worst_case = _worst_case(params, eta, row, mu)
     two_n = 2.0 * n_total
+    stop = probe is not None
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
         # DataAllocation's checks hold by construction for 0 < w1, 0 <= w2, w1 + w2 <= _W_MAX
@@ -453,7 +459,7 @@ def _search(
             rate = worst_case(nu, n1, n2, (n_total - n1 - n2) / two_n, u_alpha)[0]
         except InsufficientDataError:
             return -1.0
-        if stop_if_positive and rate > 0.0:
+        if stop and rate > 0.0:
             raise _PositiveRate((nu, w1, w2))
         return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
@@ -485,37 +491,17 @@ def _search(
                 break
         return best, (nu, w1, w2)
 
-    if start is not None:
-        evaluate(*start)
+    for point in probe or ():
+        evaluate(*point)
     candidates = [refine(seed, free_w2=with_vacuum) for seed in seeds]
     if with_vacuum:
         # the w2 = 0 corner, once, from the first best point with w2 free
         candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
-    _, (nu, w1, w2) = max(candidates, key=lambda c: c[0])
-    alloc = _make_alloc(n_total, w1, w2, u_alpha)
-    fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
-    return AllocationResult(alloc=alloc, nu=nu, result=fb)
-
-
-def _optimum_is_positive(
-    params: ExperimentParams, eta: float, mu: float, n_total: float, u_alpha: float,
-    estimator: str, start: Optional[Tuple[float, float, float]] = None,
-) -> Optional[Tuple[float, float, float]]:
-    """A point (nu, w1, w2) with a positive rate, or None if the optimum is not positive.
-
-    The search is optimize_allocation's, stopped at its first positive
-    rate.  ``start``, a point where another probe of the same link met
-    its first positive rate, is evaluated first: see max_distance_fluct
-    for why that is exact.
-    """
-    try:
-        res = _search(params, eta, mu, n_total, u_alpha, estimator, _DEFAULT_SEEDS,
-                      stop_if_positive=True, start=start)
-    except _PositiveRate as hit:
-        return hit.args[0]
-    if res.result.rate_lower > 0.0:
-        return res.nu, res.alloc.n_decoy1 / n_total, res.alloc.n_decoy2 / n_total
-    return None
+    best, (nu, w1, w2) = max(candidates, key=lambda c: c[0])
+    if best < 0.0:  # every evaluation was off the box or had no data
+        fluctuated_bounds(params, eta, (mu, nu, 0.0), _make_alloc(n_total, w1, w2, u_alpha),
+                          estimator)
+    return nu, w1, w2
 
 
 def _make_alloc(n_total: float, w1: float, w2: float, u_alpha: float) -> DataAllocation:
@@ -601,15 +587,16 @@ def max_distance_fluct(
     # positive rate, on it or before it.  This needs the kernel never to
     # return NaN and never to raise InsufficientDataError on part of that
     # path only: either would make the path depend on the length.
-    positive_at = None
+    carried: Tuple[Tuple[float, float, float], ...] = ()
 
     def sign(length: float) -> float:
-        nonlocal positive_at
+        nonlocal carried
         eta = transmittance(params, length).eta
-        point = _optimum_is_positive(params, eta, mu, n_total, u_alpha, estimator, positive_at)
-        if point is None:
-            return -1.0
-        positive_at = point
-        return 1.0
+        try:
+            _search(params, eta, mu, n_total, u_alpha, estimator, _DEFAULT_SEEDS, carried)
+        except _PositiveRate as hit:
+            carried = (hit.args[0],)
+            return 1.0
+        return -1.0
 
     return find_zero_crossing(sign, 1.0, l_hi, 8.0, x_tol=0.05)

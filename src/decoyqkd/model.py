@@ -14,11 +14,13 @@ receiver then has a closed form:
     E_mu  = (e0 * y0 + e_detector * (1 - e^(-eta * mu))) / Q_mu
 
 Background events carry no bit correlation, so their error rate e0 is
-fixed at 1/2.  The widely used approximation Y_i ~= y0 + eta_i (dropping
-the y0*eta_i cross term) is available behind the ``approx`` flag; the
-closed-form overall gain and QBER coincide with the photon-number series
-under that approximation, and differ from the exact series only by the
-cross term.
+fixed at 1/2.  The closed-form overall gain and QBER coincide with the
+photon-number series under the widely used approximation
+Y_i ~= y0 + eta_i (dropping the y0*eta_i cross term), and differ from
+the exact series only by that term.  The series itself (yield_i,
+gain_i, error_i, and yield_i's ``approx`` flag for the approximation)
+lives in tests/helpers.py, where the tests check the closed forms
+against it.
 """
 
 from __future__ import annotations
@@ -141,31 +143,6 @@ def transmittance(params: ExperimentParams, length_km: float) -> ChannelPoint:
         raise ValidationError(f"length_km must be finite and >= 0, got {length_km}")
     eta = 10.0 ** (-params.alpha * length_km / 10.0) * params.eta_bob
     return ChannelPoint(length_km=length_km, eta=eta)
-
-
-def photon_transmittance(eta: float, i: int) -> float:
-    """Probability that at least one of i photons survives: 1-(1-eta)^i."""
-    _check_eta(eta)
-    if i < 0:
-        raise ValidationError(f"photon number must be >= 0, got {i}")
-    if i == 0:
-        return 0.0
-    if eta == 1.0:
-        return 1.0
-    return -math.expm1(i * math.log1p(-eta))
-
-
-def yield_i(params: ExperimentParams, eta: float, i: int, approx: bool = False) -> float:
-    """Yield of an i-photon pulse.
-
-    Exact form y0 + eta_i - y0*eta_i by default; ``approx=True`` drops
-    the cross term (background and photon detections treated as
-    non-overlapping).
-    """
-    eta_i = photon_transmittance(eta, i)
-    if approx:
-        return min(params.y0 + eta_i, 1.0)
-    return params.y0 + eta_i - params.y0 * eta_i
 
 
 def overall_gain(mu: float, params: ExperimentParams, eta: float) -> float:

@@ -1,9 +1,10 @@
 """Functions that only the tests use.
 
 Numerics (finite_difference), the photon-number series of the channel
-model (gain_i, error_i, poisson_tail_cutoff), and the structure of the
-Y1/e1 bounds as functions of the weakest decoy behind criterion 10's
-"the weakest decoy should be vacuum" checks.
+model (photon_transmittance, yield_i, gain_i, error_i,
+poisson_tail_cutoff), and the structure of the Y1/e1 bounds as functions
+of the weakest decoy behind criterion 10's "the weakest decoy should be
+vacuum" checks.
 """
 
 import math
@@ -14,11 +15,10 @@ from decoyqkd.model import (
     E0,
     ExperimentParams,
     ValidationError,
+    _check_eta,
     _check_mu,
     overall_gain,
     overall_qber,
-    photon_transmittance,
-    yield_i,
 )
 
 
@@ -30,6 +30,31 @@ def finite_difference(f: Callable[[float], float], x: float, h: float) -> float:
 
 
 # --- the photon-number series of the channel model ---------------------
+
+
+def photon_transmittance(eta: float, i: int) -> float:
+    """Probability that at least one of i photons survives: 1-(1-eta)^i."""
+    _check_eta(eta)
+    if i < 0:
+        raise ValidationError(f"photon number must be >= 0, got {i}")
+    if i == 0:
+        return 0.0
+    if eta == 1.0:
+        return 1.0
+    return -math.expm1(i * math.log1p(-eta))
+
+
+def yield_i(params: ExperimentParams, eta: float, i: int, approx: bool = False) -> float:
+    """Yield of an i-photon pulse.
+
+    Exact form y0 + eta_i - y0*eta_i by default; ``approx=True`` drops
+    the cross term (background and photon detections treated as
+    non-overlapping).
+    """
+    eta_i = photon_transmittance(eta, i)
+    if approx:
+        return min(params.y0 + eta_i, 1.0)
+    return params.y0 + eta_i - params.y0 * eta_i
 
 
 def gain_i(mu: float, params: ExperimentParams, eta: float, i: int, approx: bool = False) -> float:

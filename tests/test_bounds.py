@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from helpers import error_gain_slope, error_i, scaled_error_gain, scaled_gain, y1_bound_gap
+from helpers import (
+    error_gain_slope,
+    error_i,
+    scaled_error_gain,
+    scaled_gain,
+    y1_bound_gap,
+    yield_i,
+)
 
 from decoyqkd import bounds
 from decoyqkd.bounds import (
@@ -36,7 +43,6 @@ from decoyqkd.model import (
     overall_gain,
     simulate_observations,
     transmittance,
-    yield_i,
 )
 
 ETA_40KM = transmittance(GYS, 40.0).eta

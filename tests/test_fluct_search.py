@@ -2,7 +2,7 @@
 
 fluctuated_bounds and the allocation search both evaluate one fused float
 kernel (fluct._worst_case), and a reach probe stops at its first positive
-evaluation (fluct._optimum_is_positive).  Both must give exactly what the
+evaluation (fluct._search with a probe tuple).  Both must give exactly what the
 full computation gives: tests/fluct_oracle.py builds every intermediate
 object, and is the kernel's oracle.  The evaluation counts are
 deterministic, so they are pinned: a change to the search that moves
@@ -210,6 +210,15 @@ def test_each_clamp_example_reaches_its_clamp(clamp):
     assert clamp in clamps_reached(**CLAMPS[clamp])
 
 
+def probe(params, eta, mu, n_total, estimator, carried=()):
+    """Where a reach probe met its first positive rate, or None: max_distance_fluct's sign."""
+    try:
+        fluct._search(params, eta, mu, n_total, 10.0, estimator, fluct._DEFAULT_SEEDS, carried)
+    except fluct._PositiveRate as hit:
+        return hit.args[0]
+    return None
+
+
 # lengths just inside and just beyond each reach
 SIGN_CASES = [
     (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.0, True),
@@ -226,14 +235,13 @@ def test_early_exit_sign_equals_the_full_optimum(params, mu, n_total, estimator,
                                                  expected):
     eta = transmittance(params, length).eta
     full = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
-    early = fluct._optimum_is_positive(params, eta, mu, n_total, 10.0, estimator) is not None
+    early = probe(params, eta, mu, n_total, estimator) is not None
     assert early == (full.result.rate_lower > 0.0) == expected
     # a probe that starts at the positive point a probe at another length met
     for other in (1.0, length - 0.1):
-        carried = fluct._optimum_is_positive(params, transmittance(params, other).eta, mu,
-                                             n_total, 10.0, estimator)
+        carried = probe(params, transmittance(params, other).eta, mu, n_total, estimator)
         assert carried is not None
-        started = fluct._optimum_is_positive(params, eta, mu, n_total, 10.0, estimator, carried)
+        started = probe(params, eta, mu, n_total, estimator, (carried,))
         assert (started is not None) == expected
 
 
@@ -281,15 +289,16 @@ def count_calls(monkeypatch, fn):
     return result, len(points), n_bounds
 
 
-# (reach, search evaluations, fluctuated_bounds calls), one fluctuated_bounds
-# per negative probe.  22,412 GYS evaluations before the probes stopped at
-# their first positive rate; (3,336 / 1,131 / 2,807) before the w2 = 0
-# corner was optimized once per search and each probe started at the last
-# positive point
+# (reach, search evaluations, fluctuated_bounds calls).  22,412 GYS
+# evaluations before the probes stopped at their first positive rate;
+# (3,336 / 1,131 / 2,807) before the w2 = 0 corner was optimized once per
+# search and each probe started at the last positive point; (7 / 5 / 6)
+# fluctuated_bounds calls, one per negative probe, before a probe read its
+# sign from the search alone
 REACH_PINS = [
-    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 2209, 7),
-    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 975, 5),
-    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 2045, 6),
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 2209, 0),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 975, 0),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 2045, 0),
 ]
 
 
@@ -310,17 +319,16 @@ def test_probes_walk_one_path_until_their_first_positive_rate(monkeypatch, param
                                                               negative):
     # why a reach probe may start at the point where the last positive probe
     # stopped: before a positive rate every probe evaluates the same points
-    def probe(length):
+    def probe_at(length):
         eta = transmittance(params, length).eta
-        return record_calls(monkeypatch, lambda: fluct._optimum_is_positive(
-            params, eta, mu, n_total, 10.0, estimator))
+        return record_calls(monkeypatch, lambda: probe(params, eta, mu, n_total, estimator))
 
-    _, path, _ = probe(negative[-1])
+    _, path, _ = probe_at(negative[-1])
     for length in negative:
-        point, points, _ = probe(length)
+        point, points, _ = probe_at(length)
         assert point is None and points == path
     for length in positive:
-        point, points, _ = probe(length)
+        point, points, _ = probe_at(length)
         assert point is not None and points == path[:len(points)]
     # which holds because along that path the kernel never returns NaN, and
     # raises InsufficientDataError at every length or at none

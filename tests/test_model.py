@@ -9,7 +9,7 @@ separate reference script (bisection/series, no package code).
 import math
 
 import pytest
-from helpers import error_i, gain_i, poisson_tail_cutoff
+from helpers import error_i, gain_i, photon_transmittance, poisson_tail_cutoff, yield_i
 
 from decoyqkd.model import (
     E0,
@@ -22,11 +22,9 @@ from decoyqkd.model import (
     load_params,
     overall_gain,
     overall_qber,
-    photon_transmittance,
     poisson_tail,
     simulate_observations,
     transmittance,
-    yield_i,
 )
 
 # GYS fiber, frozen reference values

@@ -3,7 +3,8 @@
 The CLI choices come from it, the `bounds` report agrees with the
 public rate functions, the bounds functions are looked up through the
 bounds module on every call (fluctuated_bounds calls none: its kernel
-fuses them), and every binding perfbench's tracer wraps still exists.
+fuses them), and every binding perfbench's tracer wraps or its workloads
+call still exists, and the tracer installs on the package.
 """
 
 import re
@@ -83,10 +84,27 @@ def test_one_decoy_alias_is_the_trial_variant():
 
 
 def test_trace_targets_resolve():
+    # the tracer installs with a strict getattr, so a traced name that left
+    # the package would fail only in the benchmark
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import bench_worker
+        from bench_trace import Tracer
     finally:
         sys.path.pop(0)
-    for module, attr, _ in bench_worker.TRACE_TARGETS:
+    targets = bench_worker.TRACE_TARGETS
+    for module, attr, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+    originals = [getattr(module, attr) for module, attr, _ in targets]
+    tracer = Tracer()
+    tracer.install(targets, bench_worker.TRACE_FLAGS)
+    try:
+        assert [getattr(module, attr).__wrapped__ for module, attr, _ in targets] == originals
+    finally:
+        tracer.uninstall()
+    assert [getattr(module, attr) for module, attr, _ in targets] == originals
+
+
+def test_the_rates_the_benchmark_workloads_call_exist():
+    for name in ("vacuum_weak_rate", "one_decoy_rate", "two_decoy_rate"):
+        assert callable(getattr(rate, name, None)), f"rate.{name}"
