@@ -14,14 +14,12 @@ from .bounds import (
     adversary_oracle,
     asymptotic_bounds,
     deviation_report,
-    e1_upper_two_decoy,
     one_decoy_simple,
     one_decoy_trial,
     two_decoy_bounds,
     vacuum_weak_bounds,
     wang_delta,
     y0_lower,
-    y1_lower_two_decoy,
 )
 from .fluct import (
     AllocationResult,

@@ -100,14 +100,10 @@ class DeviationReport:
     beta_e1: float
 
 
-def _require_second_decoy(obs: ObservedRates) -> None:
-    if not obs.has_second_decoy:
-        raise ValidationError("estimator needs observations at a second decoy intensity")
-
-
 def y0_lower(obs: ObservedRates, intensities: ProtocolIntensities) -> float:
     """Background-yield lower bound from the two decoy gains."""
-    _require_second_decoy(obs)
+    if not obs.has_second_decoy:
+        raise ValidationError("estimator needs observations at a second decoy intensity")
     nu1, nu2 = intensities.nu1, intensities.nu2
     val = (
         nu1 * obs.q_nu2 * math.exp(nu2) - nu2 * obs.q_nu1 * math.exp(nu1)
@@ -142,33 +138,13 @@ def _estimate(name: str, mu: float, y0: float, y1: float, e1: float) -> BoundsEs
                           e1_upper=e1, estimator=name)
 
 
-def y1_lower_two_decoy(obs: ObservedRates, intensities: ProtocolIntensities) -> float:
-    """Single-photon-yield lower bound from signal plus two decoys."""
-    _require_second_decoy(obs)
-    mu, nu1, nu2 = intensities.mu, intensities.nu1, intensities.nu2
-    return _y1_from_bracket(
-        obs, mu, nu1, obs.q_nu2 * math.exp(nu2), nu2, y0_lower(obs, intensities)
-    )
-
-
-def e1_upper_two_decoy(
-    obs: ObservedRates, intensities: ProtocolIntensities, y1_low: float
-) -> float:
-    """Single-photon error-rate upper bound given a Y1 lower bound.
-
-    A non-positive y1_low makes the bound vacuous; 0.5 is returned.
-    """
-    _require_second_decoy(obs)
-    nu1, nu2 = intensities.nu1, intensities.nu2
-    error_gain = obs.e_nu1 * obs.q_nu1 * math.exp(nu1) - obs.e_nu2 * obs.q_nu2 * math.exp(nu2)
-    return _e1_from(y1_low, error_gain, nu1 - nu2)
-
-
 def two_decoy_bounds(obs: ObservedRates, intensities: ProtocolIntensities) -> BoundsEstimate:
-    """Bundle of the two-decoy Y0/Y1/Q1/e1 bounds."""
-    y1 = y1_lower_two_decoy(obs, intensities)
-    return _estimate("two-decoy", intensities.mu, y0_lower(obs, intensities), y1,
-                     e1_upper_two_decoy(obs, intensities, y1))
+    """Bounds from signal plus two decoys, Y0 bounded from the two decoy gains."""
+    mu, nu1, nu2 = intensities.mu, intensities.nu1, intensities.nu2
+    y0 = y0_lower(obs, intensities)
+    y1 = _y1_from_bracket(obs, mu, nu1, obs.q_nu2 * math.exp(nu2), nu2, y0)
+    error_gain = obs.e_nu1 * obs.q_nu1 * math.exp(nu1) - obs.e_nu2 * obs.q_nu2 * math.exp(nu2)
+    return _estimate("two-decoy", mu, y0, y1, _e1_from(y1, error_gain, nu1 - nu2))
 
 
 def vacuum_weak_bounds(obs: ObservedRates, mu: float, nu: float) -> BoundsEstimate:
@@ -298,6 +274,9 @@ def _check_bracket(mu: float, nu1: float, nu2: float) -> None:
 
 # --- adversary oracle -------------------------------------------------
 
+ORACLE_I_MAX = 10  # the photon-number cutoff of the oracle's channels
+ORACLE_GAIN_TOL = 1e-10  # absolute slack on every gain the oracle matches
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -308,31 +287,21 @@ class OracleResult:
     e1_max: Optional[float]
 
 
-def adversary_oracle(
-    obs: ObservedRates,
-    intensities: ProtocolIntensities,
-    i_max: int = 10,
-    gain_tol: float = 1e-10,
-) -> OracleResult:
+def adversary_oracle(obs: ObservedRates, intensities: ProtocolIntensities) -> OracleResult:
     """Search the truncated channels {Y_i, e_i Y_i} matching the data.
 
     Variables are the yields Y_0..Y_imax in [0, 1] and the error-yield
-    products b_i = e_i Y_i in [0, Y_i].  For every observed intensity s
-    the truncated sums must match Q_s e^s and E_s Q_s e^s within
-    gain_tol plus the Poisson tail mass above i_max (yields above the
-    cutoff can contribute at most that much).  Returns the smallest
-    feasible Y_1, and the largest feasible e_1 = b_1 / Y_1 from one LP in
-    Charnes-Cooper form: with t = 1/Y_1, maximize t b_1 subject to
-    t Y_1 = 1 and every constraint scaled by t.  If no feasible channel
-    has Y_1 > 0, e1_max is the vacuous 1.
+    products b_i = e_i Y_i in [0, Y_i], with imax = ORACLE_I_MAX.  For
+    every observed intensity s the truncated sums must match Q_s e^s and
+    E_s Q_s e^s within ORACLE_GAIN_TOL plus the Poisson tail mass above
+    imax (yields above the cutoff can contribute at most that much).
+    Returns the smallest feasible Y_1, and the largest feasible
+    e_1 = b_1 / Y_1 from one LP in Charnes-Cooper form: with t = 1/Y_1,
+    maximize t b_1 subject to t Y_1 = 1 and every constraint scaled by t.
+    If no feasible channel has Y_1 > 0, e1_max is the vacuous 1.
 
     A sound estimator must give y1_lower <= y1_min and e1_upper >= e1_max.
     """
-    if i_max < 3:
-        raise ValidationError(f"i_max must be >= 3, got {i_max}")
-    if not 0.0 < gain_tol < math.inf:
-        raise ValidationError(f"gain_tol must be finite and > 0, got {gain_tol}")
-
     sources = [(intensities.mu, obs.q_mu, obs.e_mu), (intensities.nu1, obs.q_nu1, obs.e_nu1)]
     if obs.has_second_decoy:
         sources.append((intensities.nu2, obs.q_nu2, obs.e_nu2))
@@ -340,17 +309,17 @@ def adversary_oracle(
     # Rows over the columns Y_0..Y_imax, b_0..b_imax and a scale t, each
     # read as row . x <= 0.  With t = 1 they are the constraints on the
     # channel; the e1_max LP keeps t as the variable 1/Y_1.
-    n = i_max + 1
+    n = ORACLE_I_MAX + 1
     t = 2 * n
     rows = []
     for offset in (0, n):  # gains on Y, then error gains on b
         for s, q, e in sources:
             target = (e * q if offset else q) * math.exp(s)
-            slack = poisson_tail(s, i_max) * math.exp(s) + gain_tol  # un-normalized tail mass + tol
+            slack = poisson_tail(s, ORACLE_I_MAX) * math.exp(s) + ORACLE_GAIN_TOL  # tail mass + tol
             coeff = [0.0] * t
             coeff[offset:offset + n] = [s**i / math.factorial(i) for i in range(n)]
-            # two-sided window target - slack <= sum <= target + gain_tol
-            rows.append(coeff + [-(target + gain_tol)])
+            # two-sided window target - slack <= sum <= target + ORACLE_GAIN_TOL
+            rows.append(coeff + [-(target + ORACLE_GAIN_TOL)])
             rows.append([-x for x in coeff] + [target - slack])
 
     def unit_row(plus, minus):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import sys
@@ -146,13 +147,11 @@ def _add_params_opts(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args) -> ExperimentParams:
-    if getattr(args, "config", None):
+    if args.config:
         params = load_params(args.config)
     else:
         params = get_preset(args.preset)
-    if getattr(args, "f_ec", None) is not None:
-        import dataclasses
-
+    if args.f_ec is not None:
         params = dataclasses.replace(params, f_ec=args.f_ec)
     return params
 

@@ -16,7 +16,8 @@ evaluated and the smaller key rate is kept.
 With no vacuum pulses at all there is no background estimate and the
 evaluation falls back to the one-decoy (Y0 := 0) analysis, which is why
 a vacuum decoy only becomes worth its pulse budget beyond a certain
-distance.
+distance.  On a link with no background the allocation search runs that
+analysis alone: its vacuum decoy would record no events.
 """
 
 from __future__ import annotations
@@ -222,8 +223,6 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"{name} must lie in [0, 1], got {value}")
     with_vacuum = row.observes == VACUUM_WEAK
-    if with_vacuum:
-        overall_qber(0.0, params, eta)  # raises on a zero vacuum gain
     y0 = params.y0  # the background yield, and the vacuum decoy's gain exactly
 
     f_ec = params.f_ec
@@ -430,6 +429,8 @@ def _search(
     at its best point, in either mode.
     """
     row = get_estimator(estimator, finite_size=True)
+    if params.y0 == 0.0:
+        row = ESTIMATORS["one-decoy"]  # no background: the vacuum decoy measures nothing
     if not 0.0 < n_total < math.inf:
         raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
     if not 0.0 < mu < math.inf:

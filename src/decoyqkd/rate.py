@@ -320,9 +320,7 @@ def one_decoy_rate(
 
 
 def two_decoy_rate(params: ExperimentParams, eta: float, intensities, q: float = 0.5) -> float:
-    """Strong bound fed by the generic two-decoy estimator."""
-    if not hasattr(intensities, "mu"):
-        intensities = _bounds.ProtocolIntensities(*intensities)
+    """Strong bound fed by the generic two-decoy estimator at a ProtocolIntensities."""
     return estimator_rate(
         "two-decoy", params, eta, intensities.mu, intensities.nu1, intensities.nu2, q=q
     )
@@ -336,14 +334,12 @@ def wang_asymptotic_rate(params: ExperimentParams, eta: float, mu: float, q: flo
 REACH_LIMIT_KM = 500.0  # the noiseless distance search stops here
 
 
-def max_secure_distance(rate_of_length, l_max: float = REACH_LIMIT_KM) -> float | None:
+def max_secure_distance(rate_of_length) -> float | None:
     """Zero crossing of a rate-versus-distance curve, to 0.01 km.
 
     Expects the usual shape: positive at short distance, negative past
     the crossing.  Returns None when the rate is never positive, and
-    exactly l_max when it is still positive there (a crossing is always
-    below l_max).  l_max must be finite and > 0 km.
+    exactly REACH_LIMIT_KM when it is still positive there (a crossing
+    is always below it).
     """
-    if not 0.0 < l_max < math.inf:
-        raise ValidationError(f"l_max must be finite and > 0 km, got {l_max}")
-    return find_zero_crossing(rate_of_length, 0.0, l_max, 2.0, x_tol=0.01)
+    return find_zero_crossing(rate_of_length, 0.0, REACH_LIMIT_KM, 2.0, x_tol=0.01)

@@ -25,14 +25,12 @@ from decoyqkd.bounds import (
     adversary_oracle,
     asymptotic_bounds,
     deviation_report,
-    e1_upper_two_decoy,
     one_decoy_simple,
     one_decoy_trial,
     two_decoy_bounds,
     vacuum_weak_bounds,
     wang_delta,
     y0_lower,
-    y1_lower_two_decoy,
 )
 from decoyqkd.model import (
     E0,
@@ -105,19 +103,19 @@ def test_vacuum_weak_frozen_140km():
 
 
 def pinned_estimates(params, length, mu, nu1, nu2):
-    """repr of every estimator, and of the two-decoy pieces, at one operating point."""
+    """repr of every estimator, and of the two-decoy (Y0, Y1, e1), at one operating point."""
     eta = transmittance(params, length).eta
     ints = ProtocolIntensities(mu=mu, nu1=nu1, nu2=nu2)
     obs2 = simulate_observations(params, eta, ints)
     obs1 = simulate_observations(params, eta, (mu, nu1))
-    y1 = y1_lower_two_decoy(obs2, ints)
+    two = two_decoy_bounds(obs2, ints)
     return [
-        repr(two_decoy_bounds(obs2, ints)),
+        repr(two),
         repr(vacuum_weak_bounds(simulate_observations(params, eta, (mu, nu1, 0.0)), mu, nu1)),
         repr(one_decoy_trial(obs1, mu, nu1)),
         repr(one_decoy_simple(obs1, mu, nu1)),
         repr(asymptotic_bounds(params, eta, mu)),
-        repr((y0_lower(obs2, ints), y1, e1_upper_two_decoy(obs2, ints, y1))),
+        repr((two.y0_lower, two.y1_lower, two.e1_upper)),
     ]
 
 
@@ -218,10 +216,35 @@ def test_two_decoy_with_vacuum_slot_equals_vacuum_weak():
 
 
 def test_e1_upper_vacuous_when_y1_collapses():
-    obs = observe(ETA_40KM, 0.48, 0.12)
-    ints = ProtocolIntensities(mu=0.48, nu1=0.12, nu2=0.0)
-    assert e1_upper_two_decoy(obs, ints, 0.0) == 0.5
-    assert e1_upper_two_decoy(obs, ints, -1.0) == 0.5
+    # a signal gain this bright drives the two-decoy Y1 bracket below 0
+    obs = ObservedRates(q_mu=0.1, e_mu=0.03, q_nu1=1e-4, e_nu1=0.03,
+                        q_nu2=1e-6, e_nu2=0.5)
+    est = two_decoy_bounds(obs, ProtocolIntensities(mu=0.48, nu1=0.12, nu2=0.0))
+    assert est.vacuous
+    assert est.y1_lower == 0.0
+    assert est.e1_upper == 0.5
+
+
+@pytest.mark.parametrize("length, mu, nu1, nu2", [
+    (40.0, 0.48, 0.12, 0.03), (40.0, 0.48, 0.12, 0.0), (140.0, 0.55, 0.2, 0.05),
+])
+def test_two_decoy_bounds_follow_the_two_decoy_formulas(length, mu, nu1, nu2):
+    # Y1 and e1 as the paper writes them, around the Y0 that the estimate reports
+    eta = transmittance(GYS, length).eta
+    obs = observe(eta, mu, nu1, nu2)
+    ints = ProtocolIntensities(mu=mu, nu1=nu1, nu2=nu2)
+    est = two_decoy_bounds(obs, ints)
+    assert est.y0_lower == y0_lower(obs, ints)
+    y1 = mu / ((nu1 - nu2) * (mu - nu1 - nu2)) * (
+        obs.q_nu1 * math.exp(nu1)
+        - obs.q_nu2 * math.exp(nu2)
+        - (nu1**2 - nu2**2) / mu**2 * (obs.q_mu * math.exp(mu) - est.y0_lower)
+    )
+    e1 = (obs.e_nu1 * obs.q_nu1 * math.exp(nu1)
+          - obs.e_nu2 * obs.q_nu2 * math.exp(nu2)) / ((nu1 - nu2) * y1)
+    assert est.y1_lower == pytest.approx(y1, rel=1e-9)
+    assert est.e1_upper == pytest.approx(e1, rel=1e-9)
+    assert est.q1_lower == pytest.approx(y1 * mu * math.exp(-mu), rel=1e-9)
 
 
 def test_scaled_gain_relations():
@@ -261,10 +284,9 @@ def test_y1_bound_gap_identity():
 
 def test_error_gain_slope_drives_e1_bound():
     obs = observe(ETA_40KM, 0.48, 0.12, 0.03)
-    ints = ProtocolIntensities(mu=0.48, nu1=0.12, nu2=0.03)
-    y1 = y1_lower_two_decoy(obs, ints)
+    est = two_decoy_bounds(obs, ProtocolIntensities(mu=0.48, nu1=0.12, nu2=0.03))
     slope = error_gain_slope(0.03, 0.48, 0.12, GYS, ETA_40KM)
-    assert e1_upper_two_decoy(obs, ints, y1) == pytest.approx(slope / y1, rel=1e-12)
+    assert est.e1_upper == pytest.approx(slope / est.y1_lower, rel=1e-12)
 
 
 def test_gap_and_slope_validate_intensities():
@@ -331,8 +353,8 @@ def test_estimators_reject_bad_shapes():
     obs_one = simulate_observations(GYS, ETA_40KM, (0.48, 0.12))
     with pytest.raises(ValidationError):
         vacuum_weak_bounds(obs_one, 0.48, 0.12)
-    with pytest.raises(ValidationError):
-        y1_lower_two_decoy(obs_one, ProtocolIntensities(mu=0.48, nu1=0.12))
+    with pytest.raises(ValidationError, match="second decoy"):
+        two_decoy_bounds(obs_one, ProtocolIntensities(mu=0.48, nu1=0.12))
     obs_two = observe(ETA_40KM, 0.48, 0.12)
     with pytest.raises(ValidationError):
         vacuum_weak_bounds(obs_two, 0.12, 0.48)
@@ -495,15 +517,3 @@ def test_oracle_flags_inconsistent_observations():
     assert not res.feasible
     assert res.y1_min is None
     assert res.e1_max is None
-
-
-def test_oracle_validates_arguments():
-    obs = observe(ETA_40KM, 0.48, 0.12)
-    ints = ProtocolIntensities(mu=0.48, nu1=0.12, nu2=0.0)
-    with pytest.raises(ValidationError):
-        adversary_oracle(obs, ints, i_max=2)
-    with pytest.raises(ValidationError):
-        adversary_oracle(obs, ints, gain_tol=0.0)
-    for gain_tol in (math.nan, math.inf):
-        with pytest.raises(ValidationError, match="gain_tol"):
-            adversary_oracle(obs, ints, gain_tol=gain_tol)

@@ -268,18 +268,18 @@ def test_max_distance_fluct_rejects_a_limit_it_cannot_search(monkeypatch, l_hi):
         max_distance_fluct(GYS, 0.479, 6.0e9, l_hi=l_hi)
 
 
-@pytest.mark.parametrize("estimator, error, message", [
-    ("one-decoy", InsufficientDataError,
-     "no expected events for e_nu1*q_nu1: 1200000000.0 pulses at rate 0.0"),
-    ("vacuum-weak", ValidationError, "QBER undefined: overall gain is zero"),
-])
-def test_a_link_with_no_data_raises_rather_than_reporting_no_reach(estimator, error, message):
+@pytest.mark.parametrize("estimator", ["one-decoy", "vacuum-weak"])
+def test_a_link_with_no_data_raises_rather_than_reporting_no_reach(estimator):
     # no background and no detector error: the one-decoy error-gain product
-    # has no expected events anywhere, and the vacuum decoy no gain
+    # has no expected events anywhere, and with no background vacuum+weak
+    # runs the one-decoy analysis
     params = dataclasses.replace(GYS, y0=0.0, e_detector=0.0)
     eta = transmittance(params, 50.0).eta
     for run in (lambda: max_distance_fluct(params, 0.5, 6.0e9, estimator=estimator),
                 lambda: optimize_allocation(params, eta, 0.5, 6.0e9, estimator=estimator)):
         with pytest.raises(ValidationError) as raised:
             run()
-        assert (type(raised.value), str(raised.value)) == (error, message)
+        assert (type(raised.value), str(raised.value)) == (
+            InsufficientDataError,
+            "no expected events for e_nu1*q_nu1: 1200000000.0 pulses at rate 0.0",
+        )

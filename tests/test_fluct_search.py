@@ -418,7 +418,7 @@ def test_search_is_at_least_the_best_of_a_kernel_grid(params, mu, n_total, lengt
         assert found.result.rate_lower >= grid
 
 
-@pytest.mark.parametrize("y0", [1.7e-6, 1e-7, 1e-8, 1e-10])
+@pytest.mark.parametrize("y0", [1.7e-6, 1e-7, 1e-8, 1e-10, 0.0])
 @pytest.mark.parametrize("n_total", [6.0e9, 1.0e11])
 def test_vacuum_weak_reaches_at_least_as_far_as_one_decoy(y0, n_total):
     # at low y0 the w2 = 0 corner, which is the one-decoy analysis, decides
@@ -430,3 +430,14 @@ def test_vacuum_weak_reaches_at_least_as_far_as_one_decoy(y0, n_total):
     assert vacuum_weak >= one_decoy
     if (y0, n_total) == (1e-7, 6.0e9):
         assert vacuum_weak == one_decoy == 157.953125
+
+
+def test_a_link_with_no_background_runs_the_one_decoy_analysis():
+    # with y0 = 0 the vacuum decoy records nothing, so vacuum+weak is one-decoy
+    params = dataclasses.replace(GYS, y0=0.0)
+    eta = transmittance(params, 50.0).eta
+    for estimator in ("vacuum-weak", "one-decoy"):
+        res = optimize_allocation(params, eta, 0.5, 6.0e9, estimator=estimator)
+        assert (res.result.rate_lower, res.nu, res.alloc.n_decoy2) == (
+            1.5917160971105584e-4, 0.05080448504341427, 0.0)
+        assert max_distance_fluct(params, 0.5, 6.0e9, estimator=estimator) == 172.453125

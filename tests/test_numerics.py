@@ -8,8 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd.numerics import find_zero_crossing, maximize_scalar
-from decoyqkd.model import ValidationError
-from decoyqkd.rate import max_secure_distance
+from decoyqkd.rate import REACH_LIMIT_KM, max_secure_distance
 
 
 def test_maximize_scalar_rejects_bad_input():
@@ -167,13 +166,6 @@ def test_find_zero_crossing_rejects_a_limit_it_cannot_search(lo, hi):
         find_zero_crossing(never_called, lo, hi, 1.0)
 
 
-@pytest.mark.parametrize("l_max", [0.0, -5.0, math.nan, math.inf, -math.inf])
-def test_max_secure_distance_rejects_a_limit_it_cannot_search(l_max):
-    # l_max = inf used to march forever
-    with pytest.raises(ValidationError, match="l_max"):
-        max_secure_distance(never_called, l_max=l_max)
-
-
 def test_max_secure_distance_evaluates_zero_km_once():
     lengths = []
 
@@ -183,3 +175,25 @@ def test_max_secure_distance_evaluates_zero_km_once():
 
     assert max_secure_distance(curve) == pytest.approx(90.0, abs=0.01)
     assert lengths.count(0.0) == 1
+
+
+@pytest.mark.parametrize("curve, reach", [
+    (lambda l: 1.0, REACH_LIMIT_KM),
+    (lambda l: 1e-12, REACH_LIMIT_KM),
+    (lambda l: 2.0 * REACH_LIMIT_KM - l, REACH_LIMIT_KM),
+    (lambda l: REACH_LIMIT_KM - 20.0 - l, REACH_LIMIT_KM - 20.0),
+    (lambda l: 3.0 - l, 3.0),
+], ids=["flat", "tiny", "past-the-limit", "below-the-limit", "short"])
+def test_max_secure_distance_searches_up_to_the_reach_limit(curve, reach):
+    # a rate still positive at the limit is censored there exactly, and no
+    # length past it is evaluated
+    lengths = []
+
+    def traced(l):
+        lengths.append(l)
+        return curve(l)
+
+    found = max_secure_distance(traced)
+    assert found == pytest.approx(reach, abs=0.01)
+    assert (found == REACH_LIMIT_KM) == (reach == REACH_LIMIT_KM)
+    assert max(lengths) <= REACH_LIMIT_KM

@@ -10,6 +10,7 @@ import math
 import pytest
 from scipy.stats import entropy as scipy_entropy
 
+from decoyqkd.bounds import ProtocolIntensities
 from decoyqkd.model import GYS, KTH, ValidationError, transmittance
 from decoyqkd.rate import (
     KeyRateInputs,
@@ -169,7 +170,7 @@ def test_two_decoy_rate_with_vacuum_slot_matches_vacuum_weak():
     # at nu2=0 the generic background bound recovers the measured vacuum
     # gain exactly, so the two estimators coincide
     vw = vacuum_weak_rate(GYS, ETA_40KM, 0.48, 0.12)
-    generic = two_decoy_rate(GYS, ETA_40KM, (0.48, 0.12, 0.0))
+    generic = two_decoy_rate(GYS, ETA_40KM, ProtocolIntensities(0.48, 0.12, 0.0))
     assert generic == pytest.approx(vw, rel=1e-12)
 
 
@@ -180,6 +181,6 @@ def test_one_decoy_rate_rejects_unknown_variant():
 
 def test_max_secure_distance_shapes():
     assert max_secure_distance(lambda l: -1.0) is None
-    assert max_secure_distance(lambda l: 1.0, l_max=120.0) == 120.0
+    assert max_secure_distance(lambda l: 1.0) == 500.0
     crossing = max_secure_distance(lambda l: 90.0 - l)
     assert crossing == pytest.approx(90.0, abs=0.01)

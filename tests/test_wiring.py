@@ -47,7 +47,7 @@ def test_bounds_report_rates_match_rate_functions(capsys, efficient):
     expected = {
         "asymptotic": rate.asymptotic_rate(GYS, ETA_40KM, mu, q=q),
         "vacuum-weak": rate.vacuum_weak_rate(GYS, ETA_40KM, mu, nu1, q=q),
-        "two-decoy": rate.two_decoy_rate(GYS, ETA_40KM, (mu, nu1, nu2), q=q),
+        "two-decoy": rate.two_decoy_rate(GYS, ETA_40KM, bounds.ProtocolIntensities(mu, nu1, nu2), q=q),
         "one-decoy-trial": rate.one_decoy_rate(GYS, ETA_40KM, mu, nu1, "trial", q=q),
         "one-decoy-simple": rate.one_decoy_rate(GYS, ETA_40KM, mu, nu1, "simple", q=q),
     }
