@@ -166,18 +166,18 @@ def fluctuated_bounds(
     """Worst-case bounds and key yield for one allocation at one channel.
 
     ``intensities`` must be (mu, nu) for one-decoy or (mu, nu, 0) for
-    vacuum+weak; a vacuum+weak request with no vacuum pulses degrades to
-    the one-decoy analysis.  ``estimator`` is one of
-    rate.FINITE_SIZE_ESTIMATORS.
+    vacuum+weak; a vacuum+weak request with no vacuum pulses, or on a link
+    with no background, degrades to the one-decoy analysis.  ``estimator``
+    is one of rate.FINITE_SIZE_ESTIMATORS.
     """
     row = get_estimator(estimator, finite_size=True)
     mu, nu, nu2 = _unpack_intensities(intensities)
     if nu2 not in (None, 0.0):
         raise ValidationError("fluctuation analysis expects the second decoy to be vacuum")
 
-    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
+    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0 and params.y0 != 0.0
     if not use_vacuum:
-        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
+        row = ESTIMATORS["one-decoy"]  # no vacuum events, no background estimate
     obs = simulate_observations(params, eta, row.intensities(mu, nu))
     worst_case = _worst_case(params, eta, row, mu)
     n1, n2, q = alloc.n_decoy1, alloc.n_decoy2, alloc.q
@@ -373,6 +373,7 @@ _DEFAULT_SEEDS = (
 _NU_MIN = 1e-3  # the decoy intensity search runs over [_NU_MIN, 0.999 mu]
 _W_MAX = 0.98  # keep at least 2% of pulses on the signal
 _REL_TOL = 1e-4  # coordinate descent stops on a smaller relative gain per cycle
+_WARM_REL_TOL = 1e-6  # the same for a scan's one descent from the last optimum
 _MAX_CYCLES = 12
 
 
@@ -390,18 +391,19 @@ def optimize_allocation(
     n_total: float,
     u_alpha: float = 10.0,
     estimator: str = "vacuum-weak",
-    seeds: Sequence[Tuple[float, float, float]] = _DEFAULT_SEEDS,
 ) -> AllocationResult:
     """Maximize the worst-case key yield over (nu, decoy fractions).
 
     Coordinate descent with golden-section line searches on the decoy
     intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, restarted
-    from each seed; for vacuum+weak the w2 = 0 corner (which degrades to
-    the one-decoy analysis) is then optimized once, from the best point
-    found with w2 free, and kept when it wins.  Each descent stops once a
-    cycle gains less than _REL_TOL relative, or after _MAX_CYCLES cycles.
+    from each of _DEFAULT_SEEDS; for vacuum+weak the w2 = 0 corner (which
+    degrades to the one-decoy analysis) is then optimized once, from the
+    best point found with w2 free, and kept when it wins.  Each descent
+    stops once a cycle gains less than _REL_TOL relative, or after
+    _MAX_CYCLES cycles.  scan_distance_fluct runs this search at its first
+    length only, and continues from its optimum after that.
     """
-    nu, w1, w2 = _search(params, eta, mu, n_total, u_alpha, estimator, seeds)
+    nu, w1, w2 = _search(params, eta, mu, n_total, u_alpha, estimator)
     alloc = _make_alloc(n_total, w1, w2, u_alpha)
     fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
     return AllocationResult(alloc=alloc, nu=nu, result=fb)
@@ -414,8 +416,8 @@ def _search(
     n_total: float,
     u_alpha: float,
     estimator: str,
-    seeds: Sequence[Tuple[float, float, float]],
     probe: Optional[Sequence[Tuple[float, float, float]]] = None,
+    warm: Optional[Tuple[float, float, float]] = None,
 ) -> Tuple[float, float, float]:
     """optimize_allocation's best point (nu, w1, w2).
 
@@ -427,6 +429,9 @@ def _search(
     evaluation already decides that the optimum is positive.  When no
     evaluation had data, the search raises what fluctuated_bounds raises
     at its best point, in either mode.
+
+    A ``warm`` point is descended from alone, to a gain per cycle below
+    _WARM_REL_TOL, and _DEFAULT_SEEDS run only if it finds no positive rate.
     """
     row = get_estimator(estimator, finite_size=True)
     if params.y0 == 0.0:
@@ -464,7 +469,8 @@ def _search(
             raise _PositiveRate((nu, w1, w2))
         return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
-    def refine(seed: Tuple[float, float, float], free_w2: bool) -> Tuple[float, Tuple[float, float, float]]:
+    def refine(seed: Tuple[float, float, float], free_w2: bool,
+               rel_tol: float = _REL_TOL) -> Tuple[float, Tuple[float, float, float]]:
         nu, w1, w2 = seed
         if not free_w2:
             w2 = 0.0
@@ -488,13 +494,15 @@ def _search(
                     w2, best = res.x, res.value
             if best <= 0.0:
                 break
-            if prev > 0.0 and (best - prev) <= _REL_TOL * prev:
+            if prev > 0.0 and (best - prev) <= rel_tol * prev:
                 break
         return best, (nu, w1, w2)
 
     for point in probe or ():
         evaluate(*point)
-    candidates = [refine(seed, free_w2=with_vacuum) for seed in seeds]
+    candidates = [] if warm is None else [refine(warm, with_vacuum, _WARM_REL_TOL)]
+    if not candidates or candidates[0][0] <= 0.0:
+        candidates += [refine(seed, free_w2=with_vacuum) for seed in _DEFAULT_SEEDS]
     if with_vacuum:
         # the w2 = 0 corner, once, from the first best point with w2 free
         candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
@@ -539,26 +547,32 @@ def scan_distance_fluct(
     u_alpha: float = 10.0,
     estimator: str = "vacuum-weak",
 ) -> List[ScanPoint]:
-    """Optimized key yield over a distance grid, warm-starting each point."""
+    """Optimized key yield over a distance grid, as a continuation.
+
+    The first length runs optimize_allocation's search.  The optimum moves
+    little from one length to the next, so each later one descends from
+    the last optimum alone (see _search's ``warm``), then refines the
+    w2 = 0 corner; past the reach that descent finds no positive rate,
+    and the default seeds run too.
+    """
     points: List[ScanPoint] = []
-    seeds: Tuple[Tuple[float, float, float], ...] = _DEFAULT_SEEDS
+    warm: Optional[Tuple[float, float, float]] = None
     for length in lengths_km:
         eta = transmittance(params, length).eta
-        res = optimize_allocation(
-            params, eta, mu, n_total, u_alpha=u_alpha, estimator=estimator, seeds=seeds
-        )
+        warm = _search(params, eta, mu, n_total, u_alpha, estimator, warm=warm)
+        nu, w1, w2 = warm
+        alloc = _make_alloc(n_total, w1, w2, u_alpha)
+        fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
         points.append(ScanPoint(
             length_km=length,
-            rate_lower=res.result.rate_lower,
-            nu=res.nu,
-            n_signal=res.alloc.n_signal,
-            n_decoy1=res.alloc.n_decoy1,
-            n_decoy2=res.alloc.n_decoy2,
-            key_bits=res.result.key_bits_lower,
-            low_count_observables=res.result.low_count_observables,
+            rate_lower=fb.rate_lower,
+            nu=nu,
+            n_signal=alloc.n_signal,
+            n_decoy1=alloc.n_decoy1,
+            n_decoy2=alloc.n_decoy2,
+            key_bits=fb.key_bits_lower,
+            low_count_observables=fb.low_count_observables,
         ))
-        warm = (res.nu, res.alloc.n_decoy1 / n_total, res.alloc.n_decoy2 / n_total)
-        seeds = (warm,) + _DEFAULT_SEEDS
     return points
 
 
@@ -594,7 +608,7 @@ def max_distance_fluct(
         nonlocal carried
         eta = transmittance(params, length).eta
         try:
-            _search(params, eta, mu, n_total, u_alpha, estimator, _DEFAULT_SEEDS, carried)
+            _search(params, eta, mu, n_total, u_alpha, estimator, carried)
         except _PositiveRate as hit:
             carried = (hit.args[0],)
             return 1.0

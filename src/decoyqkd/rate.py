@@ -269,8 +269,14 @@ def rate_from_estimate(obs, est, q: float, f_ec: float) -> float:
 
 def estimate_at(name: str, params: ExperimentParams, eta: float, mu: float,
                 nu1: float | None = None, nu2: float = 0.0):
-    """Noiseless model observations at one channel and the estimator's bounds (or None)."""
+    """Noiseless model observations at one channel and the estimator's bounds (or None).
+
+    On a link with no background the vacuum decoy records nothing, so
+    vacuum+weak runs the one-decoy trial, its algebra at Y0 = 0.
+    """
     row = get_estimator(name)
+    if row.observes == VACUUM_WEAK and params.y0 == 0.0:
+        row = ESTIMATORS["one-decoy-trial"]
     if row.observes != SIGNAL:
         ints = row.intensities(mu, nu1, nu2)
         obs = simulate_observations(params, eta, ints)

@@ -20,9 +20,9 @@ def oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator="vacuum-
     if nu2 not in (None, 0.0):
         raise ValidationError("fluctuation analysis expects the second decoy to be vacuum")
 
-    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
+    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0 and params.y0 != 0.0
     if not use_vacuum:
-        row = ESTIMATORS["one-decoy"]  # no vacuum pulses, no background estimate
+        row = ESTIMATORS["one-decoy"]  # no vacuum events, no background estimate
     ints = row.intensities(mu, nu)
     obs = simulate_observations(params, eta, ints)
     q = alloc.q

@@ -354,3 +354,12 @@ def test_scan_reach_line_is_none_or_censored(tmp_path, capsys, link, extra, line
     code, out, _ = run(capsys, "scan", *params, "--steps", "3", *extra)
     assert code == 0
     assert out.strip().splitlines()[-1] == line
+
+
+def test_scan_on_a_link_with_no_background(tmp_path, capsys):
+    # the noiseless vacuum+weak row runs the one-decoy trial there, as the finite-size search does
+    cfg = tmp_path / "link.txt"
+    cfg.write_text("alpha = 0.21\ne_detector = 0.033\ny0 = 0\neta_bob = 0.045\n")
+    code, out, err = run(capsys, "scan", "--config", str(cfg), "--steps", "3", "--l-max", "40")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["l_km,rate_per_pulse", "0,0.002417471335"]

@@ -1,4 +1,4 @@
-"""The worst-case rate kernel, the reach's early exit, and their counts.
+"""The worst-case rate kernel, the reach's early exit, the scan's continuation, and their counts.
 
 fluctuated_bounds and the allocation search both evaluate one fused float
 kernel (fluct._worst_case), and a reach probe stops at its first positive
@@ -213,7 +213,7 @@ def test_each_clamp_example_reaches_its_clamp(clamp):
 def probe(params, eta, mu, n_total, estimator, carried=()):
     """Where a reach probe met its first positive rate, or None: max_distance_fluct's sign."""
     try:
-        fluct._search(params, eta, mu, n_total, 10.0, estimator, fluct._DEFAULT_SEEDS, carried)
+        fluct._search(params, eta, mu, n_total, 10.0, estimator, carried)
     except fluct._PositiveRate as hit:
         return hit.args[0]
     return None
@@ -359,8 +359,10 @@ def test_table2_evaluation_count(monkeypatch):
 
 
 def test_warm_started_scan_pinned(monkeypatch):
-    # each length seeds its search with the last optimum; 125 km is past the reach.
-    # One corner search raised R_L at 20 and 60 km and cut 4,914 evaluations to 3,367
+    # 20 km runs every seed; each later length descends from the last optimum
+    # alone, and 125 km, past the reach, adds the seeds back.  One corner
+    # search cut 4,914 evaluations to 3,367, and the one descent to 1,821;
+    # it raised R_L at 100 km from 5.7869309757010755e-06
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
     assert [repr(p) for p in points] == [
@@ -370,14 +372,14 @@ def test_warm_started_scan_pinned(monkeypatch):
         "ScanPoint(length_km=60.0, rate_lower=8.692657945117281e-05, nu=0.07544612788762885, "
         "n_signal=5377408406.925327, n_decoy1=622591593.0746729, n_decoy2=0.0, "
         "key_bits=521559.47670703684, low_count_observables=())",
-        "ScanPoint(length_km=100.0, rate_lower=5.7869309757010755e-06, nu=0.11631438785567137, "
-        "n_signal=4351248525.077834, n_decoy1=1412160253.1112576, n_decoy2=236591221.81090876, "
-        "key_bits=34721.58585420645, low_count_observables=())",
-        "ScanPoint(length_km=125.0, rate_lower=-1.144193145000251e-06, nu=0.11631438785567137, "
-        "n_signal=4351248525.077834, n_decoy1=1412160253.1112576, n_decoy2=236591221.81090876, "
+        "ScanPoint(length_km=100.0, rate_lower=5.786930988631158e-06, nu=0.11631438785567137, "
+        "n_signal=4351128440.793346, n_decoy1=1412287051.7654903, n_decoy2=236584507.4411635, "
+        "key_bits=34721.58593178695, low_count_observables=())",
+        "ScanPoint(length_km=125.0, rate_lower=-1.1440742552974221e-06, nu=0.11631438785567137, "
+        "n_signal=4351128440.793346, n_decoy1=1412287051.7654903, n_decoy2=236584507.4411635, "
         "key_bits=0.0, low_count_observables=())",
     ]
-    assert (n, n_bounds) == (3367, 4)
+    assert (n, n_bounds) == (1821, 4)
 
 
 def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
@@ -430,6 +432,52 @@ def test_vacuum_weak_reaches_at_least_as_far_as_one_decoy(y0, n_total):
     assert vacuum_weak >= one_decoy
     if (y0, n_total) == (1e-7, 6.0e9):
         assert vacuum_weak == one_decoy == 157.953125
+
+
+# (lengths, the lengths where the scan restarts from the default seeds): the
+# first, and each one where the descent from the last optimum finds no
+# positive rate; past the reach, or after a jump the warm start cannot bridge.
+# fig4's budget on GYS and fig6's on KTH
+FIG4_LENGTHS = (5.0, 33.0, 61.0, 89.0, 105.0, 117.0, 125.0)
+FIG6_LENGTHS = (2.0, 24.0, 46.0, 55.0, 62.0, 70.0)
+CONTINUATIONS = [
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", FIG4_LENGTHS, (5.0, 125.0)),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", FIG4_LENGTHS, (5.0, 125.0)),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", FIG6_LENGTHS, (2.0, 70.0)),
+    (KTH, KTH_MU, 8.4e10, "one-decoy", FIG6_LENGTHS, (2.0, 62.0, 70.0)),
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", (5.0, 120.0, 60.0), (5.0, 120.0)),
+]
+
+
+@pytest.mark.parametrize("params, mu, n_total, estimator, lengths, restarts", CONTINUATIONS)
+def test_continuation_scan_keeps_the_all_seed_optimum(monkeypatch, params, mu, n_total,
+                                                      estimator, lengths, restarts):
+    # one descent from the last optimum reaches what every default seed reaches
+    seen, restarted = [], []
+
+    class Seeds(tuple):
+        def __iter__(self):
+            restarted.append(seen[-1])
+            return super().__iter__()
+
+    monkeypatch.setattr(fluct, "transmittance", lambda p, length: seen.append(length) or
+                        transmittance(p, length))
+    monkeypatch.setattr(fluct, "_DEFAULT_SEEDS", Seeds(fluct._DEFAULT_SEEDS))
+    points = scan_distance_fluct(params, mu, n_total, lengths, estimator=estimator)
+    assert tuple(restarted) == restarts
+    for point in points:
+        eta = transmittance(params, point.length_km).eta
+        full = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
+        assert max(point.rate_lower, 0.0) >= full.result.rate_lower * (1.0 - 1e-6)
+
+
+def test_fluctuated_bounds_on_a_link_with_no_background_is_one_decoy():
+    # with y0 = 0 the vacuum decoy records nothing, whatever its pulse count
+    params = dataclasses.replace(GYS, y0=0.0)
+    eta = transmittance(params, 50.0).eta
+    alloc = DataAllocation(6.0e9, 5.0e9, 8.0e8, 2.0e8)
+    assert (fluctuated_bounds(params, eta, (0.5, 0.05, 0.0), alloc)
+            == fluctuated_bounds(params, eta, (0.5, 0.05), alloc, estimator="one-decoy"))
 
 
 def test_a_link_with_no_background_runs_the_one_decoy_analysis():

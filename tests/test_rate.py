@@ -5,6 +5,7 @@ reference; optimal intensities against frozen numbers from a standalone
 bisection script.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -184,3 +185,11 @@ def test_max_secure_distance_shapes():
     assert max_secure_distance(lambda l: 1.0) == 500.0
     crossing = max_secure_distance(lambda l: 90.0 - l)
     assert crossing == pytest.approx(90.0, abs=0.01)
+
+
+@pytest.mark.parametrize("length", [0.0, 40.0, 120.0])
+def test_vacuum_weak_on_a_link_with_no_background_is_the_one_decoy_trial(length):
+    # the vacuum decoy records nothing, so vacuum+weak is its algebra at Y0 = 0
+    params = dataclasses.replace(GYS, y0=0.0)
+    eta = transmittance(params, length).eta
+    assert vacuum_weak_rate(params, eta, 0.5, 0.1) == one_decoy_rate(params, eta, 0.5, 0.1, "trial")
