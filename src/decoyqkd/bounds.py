@@ -22,9 +22,9 @@ and e_1 (from above):
     "trial" variant, tighter in practice).
 
 All bounds are floored/capped at their vacuous values (Y1 at 0, e1 at
-0.5) so that a key-rate formula downstream stays well defined.  Every
-estimator is one skeleton over that: _y1_from_bracket (the floored Y1),
-_e1_from (the capped e1) and _estimate (Q1 = Y1 mu e^-mu).
+0.5), and Y1 at 1, so that a key-rate formula downstream stays well
+defined.  Every estimator is one skeleton over that: _y1_from_bracket
+(Y1 in [0, 1]), _e1_from (the capped e1) and _estimate (Q1 = Y1 mu e^-mu).
 """
 
 from __future__ import annotations
@@ -115,15 +115,15 @@ def _y1_from_bracket(
     obs: ObservedRates, mu: float, nu1: float, nu2_gain_scaled: float,
     nu2: float, y0_value: float,
 ) -> float:
-    # shared algebra: every Y1 estimator differs only in what it uses for
-    # the second-decoy gain term and for Y0; floored at the vacuous 0
+    # shared algebra: every Y1 estimator differs only in what it uses for the
+    # second-decoy gain term and for Y0; clamped to [0, 1] (Y0 := 0 can exceed 1)
     denom = (nu1 - nu2) * (mu - nu1 - nu2)
     bracket = (
         obs.q_nu1 * math.exp(nu1)
         - nu2_gain_scaled
         - (nu1**2 - nu2**2) / mu**2 * (obs.q_mu * math.exp(mu) - y0_value)
     )
-    return max(mu / denom * bracket, 0.0)
+    return min(max(mu / denom * bracket, 0.0), 1.0)
 
 
 def _e1_from(y1: float, error_gain: float, scale: float) -> float:

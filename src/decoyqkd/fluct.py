@@ -39,7 +39,7 @@ from .model import (
     transmittance,
 )
 from .numerics import find_zero_crossing, maximize_scalar
-from .rate import ESTIMATORS, VACUUM_WEAK, KeyRateInputs, binary_entropy, get_estimator
+from .rate import VACUUM_WEAK, KeyRateInputs, binary_entropy, get_estimator
 from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
 LOW_COUNT_FLOOR = 50.0  # below this many expected events the band is dubious
@@ -175,12 +175,11 @@ def fluctuated_bounds(
     if nu2 not in (None, 0.0):
         raise ValidationError("fluctuation analysis expects the second decoy to be vacuum")
 
-    use_vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0 and params.y0 != 0.0
-    if not use_vacuum:
-        row = ESTIMATORS["one-decoy"]  # no vacuum events, no background estimate
-    obs = simulate_observations(params, eta, row.intensities(mu, nu))
-    worst_case = _worst_case(params, eta, row, mu)
-    n1, n2, q = alloc.n_decoy1, alloc.n_decoy2, alloc.q
+    # no vacuum events, or no background to estimate: the kernel's n2 = 0 analysis
+    vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0 and params.y0 != 0.0
+    obs = simulate_observations(params, eta, (mu, nu, 0.0) if vacuum else (mu, nu))
+    worst_case = _worst_case(params, eta, mu)
+    n1, n2, q = alloc.n_decoy1, alloc.n_decoy2 if vacuum else 0.0, alloc.q
     rate_hat, y1_hat, e1_hat = worst_case(nu, n1, n2, q, alloc.u_alpha)
     rate_plain, y1_plain, e1_plain = worst_case(nu, n1, n2, q, 0.0)
     betas = _quadrature_betas(obs, alloc, mu, nu, y1_plain, e1_plain)
@@ -200,16 +199,17 @@ def fluctuated_bounds(
     )
 
 
-def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
+def _worst_case(params: ExperimentParams, eta: float, mu: float):
     """f(nu, n1, n2, q, u_alpha) -> (R_hat, Y1_hat, e1_hat) of the worse vacuum-gain direction.
 
     The worst-case rate at one channel, for n1 weak-decoy and n2 vacuum
     pulses, sifting factor q and a u_alpha-sigma band; the +1 direction
     wins ties.  f performs the float operations of simulate_observations,
-    perturb_observations, ``row``'s estimator and key_rate_strong in their
-    order, without building their objects, and raises what that path
-    raises, on the same observable and in the same order.  What does not
-    depend on f's arguments is computed and checked here, once.
+    perturb_observations, vacuum_weak_bounds (one_decoy_trial at n2 = 0)
+    and key_rate_strong in their order, without building their objects,
+    and raises what that path raises, on the same observable and in the
+    same order.  What does not depend on f's arguments is computed and
+    checked here, once.
 
     f is the allocation search's inner loop, so it makes no call it can
     avoid: it inlines _band (calling it only to raise) and binary_entropy,
@@ -222,7 +222,6 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
     for name, value in (("q_mu", q_mu), ("e_mu", e_mu)):
         if not 0.0 <= value <= 1.0:
             raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-    with_vacuum = row.observes == VACUUM_WEAK
     y0 = params.y0  # the background yield, and the vacuum decoy's gain exactly
 
     f_ec = params.f_ec
@@ -249,7 +248,7 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
         if not (q_nu1 <= 1.0 and 0.0 <= e_nu1 <= 1.0):
             ObservedRates(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1)  # raises its message
         # perturb_observations; the one-decoy trial is the vacuum+weak algebra at Y0 = 0
-        vacuum = with_vacuum and n2 > 0.0
+        vacuum = n2 > 0.0
         q1, e1 = q_nu1, e_nu1
         y0_hats = (y0 if vacuum else 0.0,)  # without bands both directions coincide
         if u_alpha != 0.0:
@@ -290,6 +289,7 @@ def _worst_case(params: ExperimentParams, eta: float, row, mu: float):
         for y0_hat in y0_hats:
             y1 = scale * (q1_ex_nu - y0_hat - nu2_mu2 * (q_mu_e_mu - y0_hat))
             y1 = 0.0 if 0.0 > y1 else y1
+            y1 = 1.0 if 1.0 < y1 else y1
             e1_upper = 0.5
             if y1 > 0.0:
                 e1_upper = (eq1_ex_nu - E0 * y0_hat) / (y1 * nu)
@@ -323,8 +323,8 @@ def _quadrature_betas(
     """u_alpha times propagated relative standard errors of Y0, Y1, e1, from unshifted bounds."""
     use_vacuum = obs.has_second_decoy
     u = alloc.u_alpha
-    # no weak-decoy events (reachable only at u_alpha = 0): unbounded relative errors
-    if y1_plain <= 0.0 or alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1 <= 0.0:
+    # Y1 floored or capped, or no weak-decoy events (only at u_alpha = 0): unbounded errors
+    if not 0.0 < y1_plain < 1.0 or alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1 <= 0.0:
         beta_y0 = u / math.sqrt(alloc.n_decoy2 * obs.q_nu2) if use_vacuum else 0.0
         return beta_y0, math.inf, math.inf
 
@@ -403,10 +403,8 @@ def optimize_allocation(
     _MAX_CYCLES cycles.  scan_distance_fluct runs this search at its first
     length only, and continues from its optimum after that.
     """
-    nu, w1, w2 = _search(params, eta, mu, n_total, u_alpha, estimator)
-    alloc = _make_alloc(n_total, w1, w2, u_alpha)
-    fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
-    return AllocationResult(alloc=alloc, nu=nu, result=fb)
+    point = _search(params, eta, mu, n_total, u_alpha, estimator)
+    return _report(params, eta, mu, n_total, u_alpha, estimator, point)
 
 
 def _search(
@@ -433,9 +431,9 @@ def _search(
     A ``warm`` point is descended from alone, to a gain per cycle below
     _WARM_REL_TOL, and _DEFAULT_SEEDS run only if it finds no positive rate.
     """
-    row = get_estimator(estimator, finite_size=True)
-    if params.y0 == 0.0:
-        row = ESTIMATORS["one-decoy"]  # no background: the vacuum decoy measures nothing
+    # with no background the vacuum decoy measures nothing: one-decoy alone
+    with_vacuum = (get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK
+                   and params.y0 != 0.0)
     if not 0.0 < n_total < math.inf:
         raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
     if not 0.0 < mu < math.inf:
@@ -448,8 +446,7 @@ def _search(
     if not _NU_MIN < nu_hi:
         raise ValidationError(f"mu={mu} leaves the decoy search [{_NU_MIN:g}, 0.999 mu] empty")
     _check_mu_range(mu)
-    with_vacuum = row.observes == VACUUM_WEAK
-    worst_case = _worst_case(params, eta, row, mu)
+    worst_case = _worst_case(params, eta, mu)
     two_n = 2.0 * n_total
     stop = probe is not None
 
@@ -508,21 +505,20 @@ def _search(
         candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
     best, (nu, w1, w2) = max(candidates, key=lambda c: c[0])
     if best < 0.0:  # every evaluation was off the box or had no data
-        fluctuated_bounds(params, eta, (mu, nu, 0.0), _make_alloc(n_total, w1, w2, u_alpha),
-                          estimator)
+        _report(params, eta, mu, n_total, u_alpha, estimator, (nu, w1, w2))
     return nu, w1, w2
 
 
-def _make_alloc(n_total: float, w1: float, w2: float, u_alpha: float) -> DataAllocation:
+def _report(params: ExperimentParams, eta: float, mu: float, n_total: float, u_alpha: float,
+            estimator: str, point: Tuple[float, float, float]) -> AllocationResult:
+    """fluctuated_bounds at the search point (nu, w1, w2), with the allocation it stands for."""
+    nu, w1, w2 = point
     n1 = w1 * n_total
     n2 = w2 * n_total
-    return DataAllocation(
-        n_total=n_total,
-        n_signal=n_total - n1 - n2,
-        n_decoy1=n1,
-        n_decoy2=n2,
-        u_alpha=u_alpha,
-    )
+    alloc = DataAllocation(n_total=n_total, n_signal=n_total - n1 - n2, n_decoy1=n1,
+                           n_decoy2=n2, u_alpha=u_alpha)
+    fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
+    return AllocationResult(alloc=alloc, nu=nu, result=fb)
 
 
 @dataclass(frozen=True)
@@ -560,13 +556,12 @@ def scan_distance_fluct(
     for length in lengths_km:
         eta = transmittance(params, length).eta
         warm = _search(params, eta, mu, n_total, u_alpha, estimator, warm=warm)
-        nu, w1, w2 = warm
-        alloc = _make_alloc(n_total, w1, w2, u_alpha)
-        fb = fluctuated_bounds(params, eta, (mu, nu, 0.0), alloc, estimator)
+        res = _report(params, eta, mu, n_total, u_alpha, estimator, warm)
+        alloc, fb = res.alloc, res.result
         points.append(ScanPoint(
             length_km=length,
             rate_lower=fb.rate_lower,
-            nu=nu,
+            nu=res.nu,
             n_signal=alloc.n_signal,
             n_decoy1=alloc.n_decoy1,
             n_decoy2=alloc.n_decoy2,

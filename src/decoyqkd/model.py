@@ -26,7 +26,7 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 E0 = 0.5  # background error rate: dark counts land in either bit value
@@ -96,15 +96,13 @@ def get_preset(name: str) -> ExperimentParams:
         ) from None
 
 
-_CONFIG_KEYS = ("alpha", "e_detector", "y0", "eta_bob", "rep_rate", "f_ec", "wavelength")
-
-
 def load_params(path: str) -> ExperimentParams:
     """Read ExperimentParams from a flat key=value text file.
 
     Blank lines and lines starting with '#' are ignored.  Keys must match
     the ExperimentParams field names; unknown keys are rejected.
     """
+    keys = {f.name: f.default is MISSING for f in fields(ExperimentParams)}  # name: required
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -115,7 +113,7 @@ def load_params(path: str) -> ExperimentParams:
                 raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in keys:
                 raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
             try:
                 values[key] = float(text.strip())
@@ -123,7 +121,7 @@ def load_params(path: str) -> ExperimentParams:
                 raise ValidationError(
                     f"{path}:{line_no}: value for {key!r} is not a number"
                 ) from None
-    missing = [k for k in ("alpha", "e_detector", "y0", "eta_bob") if k not in values]
+    missing = [k for k, required in keys.items() if required and k not in values]
     if missing:
         raise ValidationError(f"{path}: missing required keys {missing}")
     return ExperimentParams(**values)
@@ -210,7 +208,8 @@ def simulate_observations(params: ExperimentParams, eta: float, intensities) -> 
     }
     if nu2 is not None:
         obs["q_nu2"] = overall_gain(nu2, params, eta)
-        obs["e_nu2"] = overall_qber(nu2, params, eta)
+        # a vacuum decoy records background alone, whose error rate is E0
+        obs["e_nu2"] = E0 if nu2 == 0.0 else overall_qber(nu2, params, eta)
     return ObservedRates(**obs)
 
 

@@ -363,3 +363,15 @@ def test_scan_on_a_link_with_no_background(tmp_path, capsys):
     code, out, err = run(capsys, "scan", "--config", str(cfg), "--steps", "3", "--l-max", "40")
     assert (code, err) == (0, "")
     assert out.splitlines()[:2] == ["l_km,rate_per_pulse", "0,0.002417471335"]
+
+
+def test_bounds_on_a_link_with_no_background(tmp_path, capsys):
+    # the vacuum+weak row has Y0_L = 0 and the one-decoy trial's numbers
+    cfg = tmp_path / "link.txt"
+    cfg.write_text("alpha = 0.21\ne_detector = 0.033\ny0 = 0\neta_bob = 0.045\n")
+    code, out, err = run(capsys, "bounds", "--config", str(cfg), "--length", "40",
+                         "--mu", "0.48", "--nu1", "0.12")
+    assert (code, err) == (0, "")
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()[1:5]}
+    assert rows["vacuum-weak"][0] == "Y0_L=0.000000e+00"
+    assert rows["vacuum-weak"] == rows["one-decoy-trial"]

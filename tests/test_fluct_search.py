@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from decoyqkd import fluct
 from decoyqkd.fluct import (
+    AllocationResult,
     DataAllocation,
     InsufficientDataError,
     fluctuated_bounds,
@@ -34,12 +35,29 @@ GYS_MU = optimal_mu(GYS)
 KTH_MU = optimal_mu(KTH)
 
 
-def search_rate(params, eta, estimator, mu, n_total, u_alpha, nu, w1, w2):
-    """The kernel's (rate, Y1_hat, e1_hat) as the allocation search calls it at (nu, w1, w2)."""
-    kernel = fluct._worst_case(params, eta, get_estimator(estimator, finite_size=True), mu)
+def runs_vacuum(params, estimator):
+    """Whether the vacuum decoy runs: vacuum+weak, on a link with a background."""
+    return get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK and params.y0 != 0.0
+
+
+def search_alloc(n_total, w1, w2, u_alpha):
+    """The DataAllocation that fluct._report builds for a search point (nu, w1, w2)."""
     n1 = w1 * n_total
     n2 = w2 * n_total
-    return kernel(nu, n1, n2, (n_total - n1 - n2) / (2.0 * n_total), u_alpha)
+    return DataAllocation(n_total, n_total - n1 - n2, n1, n2, u_alpha)
+
+
+def search_rate(params, eta, estimator, mu, n_total, u_alpha, nu, w1, w2):
+    """The kernel's (rate, Y1_hat, e1_hat) at the search point (nu, w1, w2).
+
+    The kernel runs the vacuum+weak analysis when n2 > 0 and the one-decoy
+    trial when n2 = 0, so where the vacuum does not run n2 is 0.
+    """
+    kernel = fluct._worst_case(params, eta, mu)
+    n1 = w1 * n_total
+    n2 = w2 * n_total
+    q = (n_total - n1 - n2) / (2.0 * n_total)
+    return kernel(nu, n1, n2 if runs_vacuum(params, estimator) else 0.0, q, u_alpha)
 
 
 def outcome(fn):
@@ -66,14 +84,20 @@ GRID = [
 
 @pytest.mark.parametrize("estimator, length, nu, w1, w2", GRID)
 def test_lean_objective_equals_fluctuated_bounds(estimator, length, nu, w1, w2):
+    # the one-decoy rows with w2 > 0 hold the kernel at n2 = 0 to the one-decoy
+    # report of an allocation with vacuum pulses
     for params, mu in ((GYS, GYS_MU), (KTH, KTH_MU)):
         eta = transmittance(params, length).eta
         for u_alpha in (7.5, 0.0):
-            args = (params, eta, (mu, nu, 0.0), fluct._make_alloc(6.0e9, w1, w2, u_alpha), estimator)
+            alloc = search_alloc(6.0e9, w1, w2, u_alpha)
+            args = (params, eta, (mu, nu, 0.0), alloc, estimator)
             fb = fluctuated_bounds(*args)
             assert repr(fb) == repr(oracle_fluctuated_bounds(*args))
             rate = search_rate(params, eta, estimator, mu, 6.0e9, u_alpha, nu, w1, w2)
             assert rate == (fb.rate_lower, fb.y1_hat_lower, fb.e1_hat_upper)
+            # the report the search hands back for the same point
+            report = fluct._report(params, eta, mu, 6.0e9, u_alpha, estimator, (nu, w1, w2))
+            assert repr(report) == repr(AllocationResult(alloc=alloc, nu=nu, result=fb))
 
 
 @pytest.mark.parametrize("estimator", ["vacuum-weak", "one-decoy"])
@@ -107,6 +131,9 @@ CLAMPS = {
     "Y1 floored at 0": dict(
         preset="KTH", estimator="one-decoy", length=7.3, log_n=11.7, u_alpha=5.8,
         mu_choice=1.1, nu_frac=0.96, w1=0.32, w2_frac=0.0, alloc_kind="search", pair=False),
+    "Y1 capped at 1": dict(
+        preset="GYS", estimator="one-decoy", length=40.0, log_n=10.0, u_alpha=10.0,
+        mu_choice=1e-7, nu_frac=0.1, w1=0.3, w2_frac=0.0, alloc_kind="search", pair=False),
 }
 
 
@@ -142,6 +169,7 @@ CLAMPS = {
 @example(**CLAMPS["e1_hat clamped to 0"])
 @example(**CLAMPS["e1_hat clamped to 0.5"])
 @example(**CLAMPS["Y1 floored at 0"])
+@example(**CLAMPS["Y1 capped at 1"])
 def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, log_n, u_alpha,
                                                      mu_choice, nu_frac, w1, w2_frac,
                                                      alloc_kind, pair):
@@ -153,7 +181,7 @@ def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, l
     nu = nu_frac * mu if mu > 0.0 else nu_frac
     w2 = w2_frac * (fluct._W_MAX - w1)
     if alloc_kind == "search":
-        alloc = fluct._make_alloc(n_total, w1, w2, u_alpha)
+        alloc = search_alloc(n_total, w1, w2, u_alpha)
     elif alloc_kind == "user":  # n_signal can differ from N - N1 - N2 in the last bit
         alloc = DataAllocation(n_total, (1.0 - w1 - w2) * n_total, w1 * n_total,
                                w2 * n_total, u_alpha)
@@ -179,7 +207,7 @@ def clamps_reached(preset, estimator, length, log_n, u_alpha, mu_choice, nu_frac
     params, mu = {"GYS": (GYS, GYS_MU), "KTH": (KTH, KTH_MU)}[preset]
     if mu_choice != "optimal":
         mu = mu_choice
-    alloc = fluct._make_alloc(10.0**log_n, w1, w2_frac * (fluct._W_MAX - w1), u_alpha)
+    alloc = search_alloc(10.0**log_n, w1, w2_frac * (fluct._W_MAX - w1), u_alpha)
     row = get_estimator(estimator, finite_size=True)
     vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0
     if not vacuum:
@@ -202,12 +230,24 @@ def clamps_reached(preset, estimator, length, log_n, u_alpha, mu_choice, nu_frac
             reached.add("e1_hat clamped to 0")
         elif est.e1_upper == 0.5:
             reached.add("e1_hat clamped to 0.5")
+        if est.y1_lower == 1.0:
+            reached.add("Y1 capped at 1")
     return reached
 
 
 @pytest.mark.parametrize("clamp", CLAMPS)
 def test_each_clamp_example_reaches_its_clamp(clamp):
     assert clamp in clamps_reached(**CLAMPS[clamp])
+
+
+@pytest.mark.parametrize("mu, nu", [(1e-7, 1e-8), (1e-160, 1e-162)])
+def test_a_yield_at_its_cap_has_unbounded_relative_errors(mu, nu):
+    # like a floored Y1; at mu = 1e-160 the propagated terms would square past the float range
+    eta = transmittance(GYS, 40.0).eta
+    args = (GYS, eta, (mu, nu), DataAllocation(1.0e10, 7.0e9, 3.0e9, 0.0), "one-decoy")
+    fb = fluctuated_bounds(*args)
+    assert repr(fb) == repr(oracle_fluctuated_bounds(*args))
+    assert (fb.y1_hat_lower, fb.beta_y1, fb.beta_e1) == (1.0, math.inf, math.inf)
 
 
 def probe(params, eta, mu, n_total, estimator, carried=()):
@@ -332,10 +372,9 @@ def test_probes_walk_one_path_until_their_first_positive_rate(monkeypatch, param
         assert point is not None and points == path[:len(points)]
     # which holds because along that path the kernel never returns NaN, and
     # raises InsufficientDataError at every length or at none
-    row = get_estimator(estimator, finite_size=True)
     outcomes = set()
     for length in positive + negative:
-        kernel = fluct._worst_case(params, transmittance(params, length).eta, row, mu)
+        kernel = fluct._worst_case(params, transmittance(params, length).eta, mu)
         raised = []
         for i, args in enumerate(path):
             try:
@@ -384,7 +423,8 @@ def test_warm_started_scan_pinned(monkeypatch):
 
 def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
     """The best positive rate on a size**3 kernel grid over (nu, w1, w2), w2 = 0 included, or None."""
-    kernel = fluct._worst_case(params, eta, get_estimator(estimator, finite_size=True), mu)
+    kernel = fluct._worst_case(params, eta, mu)
+    vacuum = runs_vacuum(params, estimator)
     nu_hi = 0.999 * mu
     best = None
     for i in range(size):
@@ -397,7 +437,8 @@ def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
                     break
                 n1, n2 = w1 * n_total, w2 * n_total
                 try:
-                    rate = kernel(nu, n1, n2, (n_total - n1 - n2) / (2.0 * n_total), 10.0)[0]
+                    rate = kernel(nu, n1, n2 if vacuum else 0.0,
+                                  (n_total - n1 - n2) / (2.0 * n_total), 10.0)[0]
                 except InsufficientDataError:
                     continue
                 if rate > 0.0 and (best is None or rate > best):

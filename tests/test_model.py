@@ -6,10 +6,14 @@ the module are not taken on faith.  Expected numbers were frozen from a
 separate reference script (bisection/series, no package code).
 """
 
+import dataclasses
 import math
+import sys
 
 import pytest
 from helpers import error_i, gain_i, photon_transmittance, poisson_tail_cutoff, yield_i
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decoyqkd.model import (
     E0,
@@ -95,6 +99,13 @@ def test_load_params_round_trip(tmp_path):
     # unspecified optional fields keep their defaults
     assert params.rep_rate == 2.0e6
     assert params.wavelength is None
+
+
+def test_load_params_reads_every_field(tmp_path):
+    cfg = tmp_path / "full.txt"
+    cfg.write_text("alpha = 0.2\ne_detector = 0.01\ny0 = 4e-4\neta_bob = 0.143\n"
+                   "rep_rate = 1e5\nf_ec = 1.22\nwavelength = 1550\n")
+    assert load_params(str(cfg)) == KTH
 
 
 @pytest.mark.parametrize(
@@ -241,6 +252,35 @@ def test_simulate_observations_matches_pointwise_model():
 
     with pytest.raises(ValidationError):
         simulate_observations(GYS, eta, (0.48,))
+
+
+@pytest.mark.parametrize("length", [0.0, 40.0, 140.0])
+def test_a_vacuum_decoy_records_the_background_error_rate(length):
+    # E0 by definition, which overall_qber(0) gives where there is a background
+    for params in (GYS, KTH):
+        eta = transmittance(params, length).eta
+        obs = simulate_observations(params, eta, (0.48, 0.12, 0.0))
+        assert repr(obs.e_nu2) == repr(overall_qber(0.0, params, eta)) == repr(E0)
+    # and where there is none, whose vacuum decoy records nothing
+    dark_free = dataclasses.replace(GYS, y0=0.0)
+    eta = transmittance(dark_free, length).eta
+    obs = simulate_observations(dark_free, eta, (0.48, 0.12, 0.0))
+    assert (obs.q_nu2, obs.e_nu2) == (0.0, E0)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    # from twice the smallest normal float halving y0 is exact; past 1e-2 the
+    # closed-form signal gain y0 + 1 - e^(-eta mu) can exceed 1
+    y0=st.floats(2.0 * sys.float_info.min, 1e-2),
+    e_detector=st.floats(0.0, 0.5),
+    eta=st.floats(0.0, 1.0),
+)
+def test_the_vacuum_error_rate_is_overall_qber_at_zero_bit_for_bit(y0, e_detector, eta):
+    params = dataclasses.replace(GYS, y0=y0, e_detector=e_detector)
+    obs = simulate_observations(params, eta, (0.48, 0.12, 0.0))
+    assert repr(obs.e_nu2) == repr(overall_qber(0.0, params, eta))
+    assert repr(obs.q_nu2) == repr(overall_gain(0.0, params, eta))
 
 
 def test_poisson_tail_cutoff_is_minimal():

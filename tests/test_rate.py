@@ -12,13 +12,15 @@ import pytest
 from scipy.stats import entropy as scipy_entropy
 
 from decoyqkd.bounds import ProtocolIntensities
-from decoyqkd.model import GYS, KTH, ValidationError, transmittance
+from decoyqkd.model import E0, GYS, KTH, ValidationError, transmittance
 from decoyqkd.rate import (
     KeyRateInputs,
     NoPositiveRateError,
     WangRateInputs,
     asymptotic_rate,
     binary_entropy,
+    estimate_at,
+    estimator_rate,
     key_rate_strong,
     key_rate_wang,
     max_secure_distance,
@@ -193,3 +195,16 @@ def test_vacuum_weak_on_a_link_with_no_background_is_the_one_decoy_trial(length)
     params = dataclasses.replace(GYS, y0=0.0)
     eta = transmittance(params, length).eta
     assert vacuum_weak_rate(params, eta, 0.5, 0.1) == one_decoy_rate(params, eta, 0.5, 0.1, "trial")
+    obs, est = estimate_at("vacuum-weak", params, eta, 0.5, 0.1)
+    trial = estimate_at("one-decoy-trial", params, eta, 0.5, 0.1)[1]
+    assert (obs.q_nu2, obs.e_nu2) == (0.0, E0)
+    assert repr(est) == repr(dataclasses.replace(trial, estimator="vacuum-weak"))
+
+
+def test_the_one_decoy_trial_caps_its_yield_bound_at_1():
+    # Y0 := 0 lands the background on Y1, scaled by mu / (nu (mu - nu)):
+    # Y1_L was 187.00650617896832 here, and the rate -9.81541152617178e-07
+    eta = transmittance(GYS, 40.0).eta
+    assert estimate_at("one-decoy-trial", GYS, eta, 1e-7, 1e-8)[1].y1_lower == 1.0
+    assert estimator_rate("one-decoy-trial", GYS, eta, 1e-7, 1e-8) == -1.0373966777224957e-06
+    assert asymptotic_rate(GYS, eta, 1e-7) == -1.0371396234169253e-06
