@@ -219,9 +219,6 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
     """
     q_mu = overall_gain(mu, params, eta)
     e_mu = overall_qber(mu, params, eta)
-    for name, value in (("q_mu", q_mu), ("e_mu", e_mu)):
-        if not 0.0 <= value <= 1.0:
-            raise ValidationError(f"{name} must lie in [0, 1], got {value}")
     y0 = params.y0  # the background yield, and the vacuum decoy's gain exactly
 
     f_ec = params.f_ec
@@ -246,6 +243,7 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
             raise ValidationError("QBER undefined: overall gain is zero")
         e_nu1 = (e0_y0 + e_det * -x) / q_nu1
         if not (q_nu1 <= 1.0 and 0.0 <= e_nu1 <= 1.0):
+            overall_gain(nu, params, eta)  # raises its message where q_nu1 > 1
             ObservedRates(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1)  # raises its message
         # perturb_observations; the one-decoy trial is the vacuum+weak algebra at Y0 = 0
         vacuum = n2 > 0.0
@@ -366,7 +364,6 @@ class AllocationResult:
 
 
 _DEFAULT_SEEDS = (
-    (0.05, 0.20, 0.02),
     (0.12, 0.30, 0.05),
     (0.25, 0.45, 0.10),
 )
@@ -378,10 +375,7 @@ _MAX_CYCLES = 12
 
 
 class _PositiveRate(Exception):
-    """A reach probe's search met a positive rate, which settles its sign.
-
-    args[0] is the point (nu, w1, w2) where it met it.
-    """
+    """A reach probe's search met a positive rate, which settles its sign."""
 
 
 def optimize_allocation(
@@ -414,14 +408,13 @@ def _search(
     n_total: float,
     u_alpha: float,
     estimator: str,
-    probe: Optional[Sequence[Tuple[float, float, float]]] = None,
+    probe: bool = False,
     warm: Optional[Tuple[float, float, float]] = None,
 ) -> Tuple[float, float, float]:
     """optimize_allocation's best point (nu, w1, w2).
 
-    With ``probe=None`` the search optimizes.  A tuple of points (``()``
-    for none) makes it a reach probe: it evaluates those points first and
-    raises _PositiveRate at its first rate > 0.  The best value the search
+    With ``probe=True`` the search is a reach probe: it raises
+    _PositiveRate at its first rate > 0.  The best value the search
     returns is the running maximum of its evaluations (the line searches
     keep their better interior point and refine keeps only gains), so that
     evaluation already decides that the optimum is positive.  When no
@@ -448,7 +441,6 @@ def _search(
     _check_mu_range(mu)
     worst_case = _worst_case(params, eta, mu)
     two_n = 2.0 * n_total
-    stop = probe is not None
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
         # DataAllocation's checks hold by construction for 0 < w1, 0 <= w2, w1 + w2 <= _W_MAX
@@ -462,8 +454,8 @@ def _search(
             rate = worst_case(nu, n1, n2, (n_total - n1 - n2) / two_n, u_alpha)[0]
         except InsufficientDataError:
             return -1.0
-        if stop and rate > 0.0:
-            raise _PositiveRate((nu, w1, w2))
+        if probe and rate > 0.0:
+            raise _PositiveRate
         return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
     def refine(seed: Tuple[float, float, float], free_w2: bool,
@@ -495,8 +487,6 @@ def _search(
                 break
         return best, (nu, w1, w2)
 
-    for point in probe or ():
-        evaluate(*point)
     candidates = [] if warm is None else [refine(warm, with_vacuum, _WARM_REL_TOL)]
     if not candidates or candidates[0][0] <= 0.0:
         candidates += [refine(seed, free_w2=with_vacuum) for seed in _DEFAULT_SEEDS]
@@ -588,24 +578,11 @@ def max_distance_fluct(
     """
     if not 1.0 < l_hi < math.inf:
         raise ValidationError(f"l_hi must be finite and > 1 km, got {l_hi}")
-    # Each probe starts at the last positive point, which is exact.  Until
-    # its first positive evaluation a probe's values are 0 (clamped) or -1
-    # (off the box, or no data) at every length, so its golden-section
-    # steps do not depend on the length: every probe walks one fixed path
-    # of points up to its first positive one.  The carried point lies on
-    # that path, so where it is positive the probe would also have met a
-    # positive rate, on it or before it.  This needs the kernel never to
-    # return NaN and never to raise InsufficientDataError on part of that
-    # path only: either would make the path depend on the length.
-    carried: Tuple[Tuple[float, float, float], ...] = ()
-
     def sign(length: float) -> float:
-        nonlocal carried
         eta = transmittance(params, length).eta
         try:
-            _search(params, eta, mu, n_total, u_alpha, estimator, carried)
-        except _PositiveRate as hit:
-            carried = (hit.args[0],)
+            _search(params, eta, mu, n_total, u_alpha, estimator, probe=True)
+        except _PositiveRate:
             return 1.0
         return -1.0
 

@@ -144,10 +144,20 @@ def transmittance(params: ExperimentParams, length_km: float) -> ChannelPoint:
 
 
 def overall_gain(mu: float, params: ExperimentParams, eta: float) -> float:
-    """Detection probability per pulse at mean photon number mu."""
+    """Detection probability per pulse at mean photon number mu.
+
+    The closed form y0 + 1 - e^(-eta mu) is a probability only while
+    y0 <= e^(-eta mu); a link that breaks that is rejected here.
+    """
     _check_mu(mu)
     _check_eta(eta)
-    return params.y0 - math.expm1(-eta * mu)
+    gain = params.y0 - math.expm1(-eta * mu)
+    if gain > 1.0:
+        raise ValidationError(
+            f"overall gain y0 + 1 - e^(-eta mu) = {gain} exceeds 1 at y0={params.y0}, "
+            f"mu={mu}, eta={eta}: the model needs y0 <= e^(-eta mu)"
+        )
+    return gain
 
 
 def overall_qber(mu: float, params: ExperimentParams, eta: float) -> float:

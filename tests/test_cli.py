@@ -55,6 +55,18 @@ def test_optimal_mu_wang(capsys):
     assert 0.2 <= value <= 0.35
 
 
+def test_optimal_mu_wang_at_a_length(capsys):
+    code, out, _ = run(capsys, "optimal-mu", "--method", "wang", "--length", "50")
+    assert (code, out) == (0, "mu_wang (at 50 km) = 0.285600\n")
+
+
+def test_a_float_option_that_is_not_a_number_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["scan", "--l-max", "abc"])
+    assert exited.value.code == 2
+    assert "argument --l-max: expected a finite number, got 'abc'" in capsys.readouterr().err
+
+
 def test_bounds_output(capsys):
     code, out, _ = run(capsys, "bounds", "--length", "40", "--mu", "0.48",
                        "--nu1", "0.12", "--nu2", "0.03")
@@ -91,6 +103,21 @@ def test_unknown_preset_is_a_validation_error(capsys):
     code, _, err = run(capsys, "optimal-mu", "--preset", "NOPE")
     assert code == 2
     assert "unknown preset" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--length", "0", "--mu", "0.48", "--nu1", "0.12"),
+    ("fluct-optimize", "--length", "0", "--mu", "0.48", "--n-pulses", "6e9"),
+    ("scan", "--mu", "0.48", "--n-pulses", "6e9", "--steps", "2", "--l-max", "10"),
+])
+def test_a_link_whose_overall_gain_exceeds_one_is_rejected(tmp_path, capsys, argv):
+    # y0 + 1 - e^(-eta mu) > 1: the error names y0, mu and eta, not an observable
+    cfg = tmp_path / "link.txt"
+    cfg.write_text("alpha = 0.21\ne_detector = 0.033\ny0 = 0.75\neta_bob = 1\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == ("error: overall gain y0 + 1 - e^(-eta mu) = 1.131216608193859 exceeds 1 "
+                   "at y0=0.75, mu=0.48, eta=1.0: the model needs y0 <= e^(-eta mu)\n")
 
 
 def test_config_file_params(tmp_path, capsys):

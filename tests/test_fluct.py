@@ -281,5 +281,5 @@ def test_a_link_with_no_data_raises_rather_than_reporting_no_reach(estimator):
             run()
         assert (type(raised.value), str(raised.value)) == (
             InsufficientDataError,
-            "no expected events for e_nu1*q_nu1: 1200000000.0 pulses at rate 0.0",
+            "no expected events for e_nu1*q_nu1: 1800000000.0 pulses at rate 0.0",
         )

@@ -2,7 +2,7 @@
 
 fluctuated_bounds and the allocation search both evaluate one fused float
 kernel (fluct._worst_case), and a reach probe stops at its first positive
-evaluation (fluct._search with a probe tuple).  Both must give exactly what the
+evaluation (fluct._search with probe=True).  Both must give exactly what the
 full computation gives: tests/fluct_oracle.py builds every intermediate
 object, and is the kernel's oracle.  The evaluation counts are
 deterministic, so they are pinned: a change to the search that moves
@@ -109,6 +109,19 @@ def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
     full, oracle = report_and_oracle(GYS, eta, (GYS_MU, 0.1, 0.0), alloc, estimator)
     assert full == oracle
     assert full[0] is InsufficientDataError
+
+
+def test_the_kernel_rejects_a_gain_above_one_where_the_model_does():
+    # y0 + 1 - e^(-eta x) > 1: at mu the kernel's set-up raises, and at a decoy
+    # intensity above mu each call, both with overall_gain's message
+    bright = dataclasses.replace(GYS, y0=0.75)
+    alloc = search_alloc(6.0e9, 0.3, 0.05, 10.0)
+    for mu, nu in ((0.48, 0.12), (0.1, 2.0)):
+        full, oracle = report_and_oracle(bright, 1.0, (mu, nu, 0.0), alloc, "vacuum-weak")
+        kernel = outcome(lambda: search_rate(bright, 1.0, "vacuum-weak", mu, 6.0e9, 10.0,
+                                             nu, 0.3, 0.05))
+        assert full == oracle == kernel
+        assert kernel[1].startswith("overall gain y0 + 1 - e^(-eta mu) = ")
 
 
 # one search point per clamp of the kernel, each checked below to reach it
@@ -250,13 +263,13 @@ def test_a_yield_at_its_cap_has_unbounded_relative_errors(mu, nu):
     assert (fb.y1_hat_lower, fb.beta_y1, fb.beta_e1) == (1.0, math.inf, math.inf)
 
 
-def probe(params, eta, mu, n_total, estimator, carried=()):
-    """Where a reach probe met its first positive rate, or None: max_distance_fluct's sign."""
+def probe(params, eta, mu, n_total, estimator):
+    """Whether a reach probe met a positive rate: max_distance_fluct's sign."""
     try:
-        fluct._search(params, eta, mu, n_total, 10.0, estimator, carried)
-    except fluct._PositiveRate as hit:
-        return hit.args[0]
-    return None
+        fluct._search(params, eta, mu, n_total, 10.0, estimator, probe=True)
+    except fluct._PositiveRate:
+        return True
+    return False
 
 
 # lengths just inside and just beyond each reach
@@ -275,37 +288,31 @@ def test_early_exit_sign_equals_the_full_optimum(params, mu, n_total, estimator,
                                                  expected):
     eta = transmittance(params, length).eta
     full = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
-    early = probe(params, eta, mu, n_total, estimator) is not None
+    early = probe(params, eta, mu, n_total, estimator)
     assert early == (full.result.rate_lower > 0.0) == expected
-    # a probe that starts at the positive point a probe at another length met
-    for other in (1.0, length - 0.1):
-        carried = probe(params, transmittance(params, other).eta, mu, n_total, estimator)
-        assert carried is not None
-        started = probe(params, eta, mu, n_total, estimator, (carried,))
-        assert (started is not None) == expected
 
 
-def record_calls(monkeypatch, fn):
-    """(fn(), the arguments of each search evaluation, fluctuated_bounds calls) while fn runs.
+def count_calls(monkeypatch, fn):
+    """(fn(), search evaluations, fluctuated_bounds calls) while fn runs.
 
     A search evaluation is one kernel call the search makes; the two
-    that each fluctuated_bounds call makes are not recorded.
+    that each fluctuated_bounds call makes are not counted.
     """
-    points = []
-    n_bounds = 0
+    n_points = n_bounds = 0
     in_bounds = []
     build, bounds = fluct._worst_case, fluct.fluctuated_bounds
 
-    def recorded_build(*args):
+    def counted_build(*args):
         kernel = build(*args)
         if in_bounds:
             return kernel
 
-        def recorded(*point):
-            points.append(point)
+        def counted(*point):
+            nonlocal n_points
+            n_points += 1
             return kernel(*point)
 
-        return recorded
+        return counted
 
     def counted_bounds(*args, **kwargs):
         nonlocal n_bounds
@@ -317,16 +324,10 @@ def record_calls(monkeypatch, fn):
             in_bounds.pop()
 
     with monkeypatch.context() as patch:
-        patch.setattr(fluct, "_worst_case", recorded_build)
+        patch.setattr(fluct, "_worst_case", counted_build)
         patch.setattr(fluct, "fluctuated_bounds", counted_bounds)
         result = fn()
-    return result, points, n_bounds
-
-
-def count_calls(monkeypatch, fn):
-    """(fn(), search evaluations, fluctuated_bounds calls) while fn runs."""
-    result, points, n_bounds = record_calls(monkeypatch, fn)
-    return result, len(points), n_bounds
+    return result, n_points, n_bounds
 
 
 # (reach, search evaluations, fluctuated_bounds calls).  22,412 GYS
@@ -334,11 +335,12 @@ def count_calls(monkeypatch, fn):
 # (3,336 / 1,131 / 2,807) before the w2 = 0 corner was optimized once per
 # search and each probe started at the last positive point; (7 / 5 / 6)
 # fluctuated_bounds calls, one per negative probe, before a probe read its
-# sign from the search alone
+# sign from the search alone; (2,209 / 975 / 2,045) before the probes
+# started afresh at each length from two default seeds, not three
 REACH_PINS = [
-    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 2209, 0),
-    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 975, 0),
-    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 2045, 0),
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 1607, 0),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 644, 0),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 1419, 0),
 ]
 
 
@@ -349,65 +351,30 @@ def test_reach_evaluation_count(monkeypatch):
         assert found == (reach, evaluations, n_bounds)
 
 
-@pytest.mark.parametrize("params, mu, n_total, estimator, positive, negative", [
-    (GYS, GYS_MU, 6.0e9, "vacuum-weak", (1.0, 60.0, 120.0, 123.0), (123.1, 200.0)),
-    (GYS, GYS_MU, 6.0e9, "one-decoy", (1.0, 60.0, 120.2), (120.3, 200.0)),
-    (KTH, KTH_MU, 8.4e10, "vacuum-weak", (1.0, 30.0, 66.7), (66.8, 120.0)),
-])
-def test_probes_walk_one_path_until_their_first_positive_rate(monkeypatch, params, mu,
-                                                              n_total, estimator, positive,
-                                                              negative):
-    # why a reach probe may start at the point where the last positive probe
-    # stopped: before a positive rate every probe evaluates the same points
-    def probe_at(length):
-        eta = transmittance(params, length).eta
-        return record_calls(monkeypatch, lambda: probe(params, eta, mu, n_total, estimator))
-
-    _, path, _ = probe_at(negative[-1])
-    for length in negative:
-        point, points, _ = probe_at(length)
-        assert point is None and points == path
-    for length in positive:
-        point, points, _ = probe_at(length)
-        assert point is not None and points == path[:len(points)]
-    # which holds because along that path the kernel never returns NaN, and
-    # raises InsufficientDataError at every length or at none
-    outcomes = set()
-    for length in positive + negative:
-        kernel = fluct._worst_case(params, transmittance(params, length).eta, mu)
-        raised = []
-        for i, args in enumerate(path):
-            try:
-                rate = kernel(*args)[0]
-            except InsufficientDataError:
-                raised.append(i)
-            else:
-                assert not math.isnan(rate)
-        outcomes.add(tuple(raised))
-    assert len(outcomes) == 1
-
-
 def test_table2_evaluation_count(monkeypatch):
-    # 1,107 evaluations before the w2 = 0 corner was optimized once per search
+    # 1,107 evaluations before the w2 = 0 corner was optimized once per search,
+    # and 799 before the default seeds went from three to two
     eta = transmittance(GYS, 103.62).eta
     res, n, n_bounds = count_calls(
         monkeypatch, lambda: optimize_allocation(GYS, eta, GYS_MU, 6.0e9, u_alpha=10.0)
     )
     assert f"{res.nu:.4f}" == "0.1206"
-    assert (n, n_bounds) == (799, 1)
+    assert (n, n_bounds) == (567, 1)
 
 
 def test_warm_started_scan_pinned(monkeypatch):
     # 20 km runs every seed; each later length descends from the last optimum
     # alone, and 125 km, past the reach, adds the seeds back.  One corner
     # search cut 4,914 evaluations to 3,367, and the one descent to 1,821;
-    # it raised R_L at 100 km from 5.7869309757010755e-06
+    # it raised R_L at 100 km from 5.7869309757010755e-06.  Two default seeds
+    # instead of three cut them to 1,508 and moved R_L at 20 km from
+    # 0.0007615513059530284
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
     assert [repr(p) for p in points] == [
-        "ScanPoint(length_km=20.0, rate_lower=0.0007615513059530284, nu=0.04418017837456577, "
-        "n_signal=5657266365.853625, n_decoy1=342733634.14637506, n_decoy2=0.0, "
-        "key_bits=4569307.835718171, low_count_observables=())",
+        "ScanPoint(length_km=20.0, rate_lower=0.0007615513055773012, nu=0.04417733239828863, "
+        "n_signal=5657252979.36352, n_decoy1=342747020.63647985, n_decoy2=0.0, "
+        "key_bits=4569307.833463807, low_count_observables=())",
         "ScanPoint(length_km=60.0, rate_lower=8.692657945117281e-05, nu=0.07544612788762885, "
         "n_signal=5377408406.925327, n_decoy1=622591593.0746729, n_decoy2=0.0, "
         "key_bits=521559.47670703684, low_count_observables=())",
@@ -418,7 +385,7 @@ def test_warm_started_scan_pinned(monkeypatch):
         "n_signal=4351128440.793346, n_decoy1=1412287051.7654903, n_decoy2=236584507.4411635, "
         "key_bits=0.0, low_count_observables=())",
     ]
-    assert (n, n_bounds) == (1821, 4)
+    assert (n, n_bounds) == (1508, 4)
 
 
 def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
@@ -459,6 +426,22 @@ def test_search_is_at_least_the_best_of_a_kernel_grid(params, mu, n_total, lengt
     if grid is not None:
         found = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
         assert found.result.rate_lower >= grid
+
+
+# the optimum at GYS 50 km, N = 6e10, mu = 0.1 when a third seed,
+# (0.05, 0.20, 0.02), started inside the nu box
+@pytest.mark.parametrize("estimator, three_seed_optimum", [
+    ("vacuum-weak", 7.607138383149196e-05),
+    ("one-decoy", 7.559859008329348e-05),
+])
+def test_the_search_finds_the_box_when_no_seed_starts_inside_it(estimator, three_seed_optimum):
+    # every seed's nu lies above mu, so each evaluates off the box until its
+    # first nu line search finds (0, mu)
+    mu = 0.1
+    assert all(nu >= mu for nu, _, _ in fluct._DEFAULT_SEEDS)
+    eta = transmittance(GYS, 50.0).eta
+    found = optimize_allocation(GYS, eta, mu, 6.0e10, estimator=estimator)
+    assert found.result.rate_lower == pytest.approx(three_seed_optimum, rel=1e-6)
 
 
 @pytest.mark.parametrize("y0", [1.7e-6, 1e-7, 1e-8, 1e-10, 0.0])
@@ -528,5 +511,5 @@ def test_a_link_with_no_background_runs_the_one_decoy_analysis():
     for estimator in ("vacuum-weak", "one-decoy"):
         res = optimize_allocation(params, eta, 0.5, 6.0e9, estimator=estimator)
         assert (res.result.rate_lower, res.nu, res.alloc.n_decoy2) == (
-            1.5917160971105584e-4, 0.05080448504341427, 0.0)
+            1.5917159503384286e-4, 0.05077633869370606, 0.0)
         assert max_distance_fluct(params, 0.5, 6.0e9, estimator=estimator) == 172.453125

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 from helpers import error_i, gain_i, photon_transmittance, poisson_tail_cutoff, yield_i
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decoyqkd.model import (
@@ -185,6 +185,19 @@ def test_vacuum_intensity_gives_background_statistics():
     assert overall_qber(0.0, GYS, ETA_40KM) == E0
 
 
+def test_a_link_whose_overall_gain_exceeds_one_is_rejected():
+    # the closed form y0 + 1 - e^(-eta mu) is a probability only up to 1
+    bright = dataclasses.replace(GYS, y0=0.75)
+    assert overall_gain(0.2, bright, 1.0) == 0.75 - math.expm1(-0.2)
+    with pytest.raises(ValidationError) as raised:
+        overall_gain(0.48, bright, 1.0)
+    assert str(raised.value) == (
+        "overall gain y0 + 1 - e^(-eta mu) = 1.131216608193859 exceeds 1 at y0=0.75, "
+        "mu=0.48, eta=1.0: the model needs y0 <= e^(-eta mu)")
+    with pytest.raises(ValidationError, match="overall gain"):
+        simulate_observations(bright, 1.0, (0.48, 0.12, 0.0))
+
+
 def test_qber_undefined_without_any_detections():
     dark_free = ExperimentParams(alpha=0.21, e_detector=0.033, y0=0.0, eta_bob=0.045)
     with pytest.raises(ValidationError):
@@ -270,15 +283,21 @@ def test_a_vacuum_decoy_records_the_background_error_rate(length):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(
-    # from twice the smallest normal float halving y0 is exact; past 1e-2 the
-    # closed-form signal gain y0 + 1 - e^(-eta mu) can exceed 1
-    y0=st.floats(2.0 * sys.float_info.min, 1e-2),
+    # from twice the smallest normal float halving y0 is exact
+    y0=st.floats(2.0 * sys.float_info.min, 1.0, exclude_max=True),
     e_detector=st.floats(0.0, 0.5),
     eta=st.floats(0.0, 1.0),
 )
+@example(y0=0.75, e_detector=0.033, eta=1.0)
 def test_the_vacuum_error_rate_is_overall_qber_at_zero_bit_for_bit(y0, e_detector, eta):
     params = dataclasses.replace(GYS, y0=y0, e_detector=e_detector)
-    obs = simulate_observations(params, eta, (0.48, 0.12, 0.0))
+    try:
+        obs = simulate_observations(params, eta, (0.48, 0.12, 0.0))
+    except ValidationError as exc:
+        # the closed-form signal gain y0 + 1 - e^(-eta mu) exceeds 1: the link is rejected
+        assert y0 - math.expm1(-eta * 0.48) > 1.0
+        assert str(exc).startswith("overall gain y0 + 1 - e^(-eta mu) = ")
+        return
     assert repr(obs.e_nu2) == repr(overall_qber(0.0, params, eta))
     assert repr(obs.q_nu2) == repr(overall_gain(0.0, params, eta))
 
