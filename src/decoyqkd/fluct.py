@@ -200,11 +200,13 @@ def fluctuated_bounds(
 
 
 def _worst_case(params: ExperimentParams, eta: float, mu: float):
-    """f(nu, n1, n2, q, u_alpha) -> (R_hat, Y1_hat, e1_hat) of the worse vacuum-gain direction.
+    """f(nu, n1, n2, q, u_alpha[, floor]) -> (R_hat, Y1_hat, e1_hat) of the worse direction.
 
     The worst-case rate at one channel, for n1 weak-decoy and n2 vacuum
-    pulses, sifting factor q and a u_alpha-sigma band; the +1 direction
-    wins ties.  f performs the float operations of simulate_observations,
+    pulses, sifting factor q and a u_alpha-sigma band, in the worse of the
+    two vacuum-gain directions; the +1 direction wins ties.  The first direction whose rate is <= ``floor`` is returned
+    at once, so max(R_hat, floor) is what the default -inf floor gives.
+    f performs the float operations of simulate_observations,
     perturb_observations, vacuum_weak_bounds (one_decoy_trial at n2 = 0)
     and key_rate_strong in their order, without building their objects,
     and raises what that path raises, on the same observable and in the
@@ -234,8 +236,8 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
     e_det = params.e_detector
     exp, expm1, log2, sqrt, inf = math.exp, math.expm1, math.log2, math.sqrt, math.inf
 
-    def worst_case(nu: float, n1: float, n2: float, q: float,
-                   u_alpha: float) -> Tuple[float, float, float]:
+    def worst_case(nu: float, n1: float, n2: float, q: float, u_alpha: float,
+                   floor: float = -inf) -> Tuple[float, float, float]:
         # simulate_observations at nu
         x = expm1(neg_eta * nu)
         q_nu1 = y0 - x
@@ -303,6 +305,8 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
             if e1_upper != 0.0 and e1_upper != 1.0:
                 h = -(e1_upper * log2(e1_upper) + (1.0 - e1_upper) * log2(1.0 - e1_upper))
             rate = q * (signal + q1_lower * (1.0 - h))
+            if rate <= floor:  # the other direction can only be lower
+                return rate, y1, e1_upper
             if worst is None or rate < worst:  # the +1 direction, first, wins ties
                 worst, y1_hat, e1_hat = rate, y1, e1_upper
         return worst, y1_hat, e1_hat
@@ -388,7 +392,7 @@ def optimize_allocation(
 ) -> AllocationResult:
     """Maximize the worst-case key yield over (nu, decoy fractions).
 
-    Coordinate descent with golden-section line searches on the decoy
+    Coordinate descent with maximize_scalar's line searches on the decoy
     intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, restarted
     from each of _DEFAULT_SEEDS; for vacuum+weak the w2 = 0 corner (which
     degrades to the one-decoy analysis) is then optimized once, from the
@@ -451,7 +455,7 @@ def _search(
         n1 = w1 * n_total
         n2 = w2 * n_total
         try:
-            rate = worst_case(nu, n1, n2, (n_total - n1 - n2) / two_n, u_alpha)[0]
+            rate = worst_case(nu, n1, n2, (n_total - n1 - n2) / two_n, u_alpha, 0.0)[0]
         except InsufficientDataError:
             return -1.0
         if probe and rate > 0.0:

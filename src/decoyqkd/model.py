@@ -252,7 +252,7 @@ def _unpack_intensities(intensities):
 
 
 def _check_mu(mu: float) -> None:
-    if mu < 0.0:
+    if not mu >= 0.0:  # NaN too
         raise ValidationError(f"mean photon number must be >= 0, got {mu}")
 
 

@@ -1,9 +1,12 @@
 """Bounded maximization and the march-and-bisect zero crossing.
 
-Everything this package optimizes is smooth, cheap to evaluate, and
-one-dimensional (or reducible to coordinate-wise line searches), so
-golden-section search and bisection are used throughout.  No derivatives
-are required anywhere.
+Everything this package optimizes is cheap to evaluate and
+one-dimensional (or reducible to coordinate-wise line searches), and
+smooth where it is not flat, so one line search and bisection are used
+throughout.  The line search is golden section while every probe has
+returned the same value (a reach probe's clamped objective is 0 until
+its first positive rate) and Brent's method once it sees shape.  No
+derivatives are required anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))  # 1 - _INV_GOLDEN, Brent's golden-section step
 _MAX_ITER = 200
 
 
@@ -33,10 +37,17 @@ class MaximizeResult:
 def maximize_scalar(
     f: Callable[[float], float], lo: float, hi: float, abs_tol: float, rel_tol: float
 ) -> MaximizeResult:
-    """Golden-section search for a maximum of ``f`` on [lo, hi].
+    """Maximum of ``f`` on [lo, hi]: golden section while ``f`` looks flat, then Brent.
 
-    The search stops once its bracket [a, b] is no wider than
-    ``abs_tol + rel_tol * max(|a|, |b|)``, or after 200 iterations.
+    Golden-section steps run for as long as every probe has returned the
+    same value.  At the first unequal pair the bracket shrinks by that
+    comparison, and Brent's method (Brent 1973, ch. 5; scipy's fminbound
+    loop, written for a maximum) continues from the better point: a
+    parabolic step through the three best points, or a golden-section
+    step where the parabola is not trusted.  The search stops once its
+    bracket [a, b] is no wider than ``abs_tol + rel_tol * max(|a|, |b|)``,
+    or after 200 steps.  A search that never saw two unequal values
+    returns the bracket midpoint, unconverged.
     Needs -inf < lo < hi < inf and finite tolerances > 0 (else ValueError).
     """
     if not -math.inf < lo < hi < math.inf:
@@ -53,12 +64,14 @@ def maximize_scalar(
     fc, fd = f(c), f(d)
     v_lo = fd if fd < fc else fc
     v_hi = fd if fd > fc else fc
-    converged = False
-    for _ in range(_MAX_ITER):
+    steps = 0
+    while v_hi - v_lo == 0.0:
         # max(abs(a), abs(b)) is max(-a, b), since every step keeps a <= b
-        if (b - a) <= abs_tol + rel_tol * (-a if -a > b else b):
-            converged = True
-            break
+        if steps == _MAX_ITER or (b - a) <= abs_tol + rel_tol * (-a if -a > b else b):
+            # objective indistinguishable from a constant over every probe
+            mid = 0.5 * (lo + hi)
+            return MaximizeResult(x=mid, value=f(mid), converged=False)
+        steps += 1
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -75,13 +88,61 @@ def maximize_scalar(
                 v_lo = fd
             if fd > v_hi:
                 v_hi = fd
-    if v_hi - v_lo == 0.0:
-        # objective indistinguishable from a constant over every probe
-        mid = 0.5 * (lo + hi)
-        return MaximizeResult(x=mid, value=f(mid), converged=False)
+    # Brent from the better of c and d; w and v are the second and third best
+    # points, u the latest probe, e the step before last and step the last
     if fc >= fd:
-        return MaximizeResult(x=c, value=fc, converged=converged)
-    return MaximizeResult(x=d, value=fd, converged=converged)
+        b, x, fx, w, fw = d, c, fc, d, fd
+    else:
+        a, x, fx, w, fw = c, d, fd, c, fc
+    v, fv = w, fw
+    e = step = 0.0
+    converged = False
+    while steps < _MAX_ITER:
+        m = 0.5 * (a + b)
+        tol2 = 0.5 * (abs_tol + rel_tol * (-a if -a > b else b))
+        tol1 = 0.5 * tol2
+        # max(x - a, b - x) <= tol2, hence b - a <= 2 tol2, the golden-section contract
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
+            converged = True
+            break
+        steps += 1
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, step
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                step = p / q
+                golden = False
+                u = x + step
+                if (u - a) < tol2 or (b - u) < tol2:
+                    step = tol1 if m >= x else -tol1
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            step = _GOLDEN_STEP * e
+        u = x + (step if abs(step) >= tol1 else (tol1 if step >= 0.0 else -tol1))
+        fu = f(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return MaximizeResult(x=x, value=fx, converged=converged)
 
 
 def find_zero_crossing(

@@ -179,7 +179,10 @@ def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) ->
     In the asymptotic limit of Wang-style estimation the tagged-fraction
     cap tends to the signal intensity itself, so the rate is maximized
     with Delta set to mu.  With a length the rate at that distance is
-    maximized; without one the secure distance is maximized instead.
+    maximized; without one the secure distance is maximized instead.  That
+    distance is found to a bisection tolerance, so it is piecewise constant
+    in mu, and the answer is one point of its top plateau: which one
+    depends on the line search's steps, not on the model.
     """
     if length_km is not None:
         eta = transmittance(params, length_km).eta

@@ -1,6 +1,7 @@
 """Functions that only the tests use.
 
-Numerics (finite_difference), the photon-number series of the channel
+Numerics (finite_difference, and the probes of a golden-section search
+on a flat objective), the photon-number series of the channel
 model (photon_transmittance, yield_i, gain_i, error_i,
 poisson_tail_cutoff), and the structure of the Y1/e1 bounds as functions
 of the weakest decoy behind criterion 10's "the weakest decoy should be
@@ -27,6 +28,27 @@ def finite_difference(f: Callable[[float], float], x: float, h: float) -> float:
     if h <= 0.0:
         raise ValueError("step h must be positive")
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def flat_golden_section_probes(lo: float, hi: float, abs_tol: float, rel_tol: float) -> list:
+    """The points a golden-section search for a maximum probes on a constant, in order.
+
+    Each tie keeps the left part [a, d] of the bracket; the search stops
+    once b - a <= abs_tol + rel_tol * max(|a|, |b|), or after 200 steps,
+    and then evaluates the midpoint of [lo, hi], its answer for a flat
+    objective.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - g * (b - a), a + g * (b - a)
+    probes = [c, d]
+    for _ in range(200):
+        if b - a <= abs_tol + rel_tol * max(abs(a), abs(b)):
+            break
+        b, d = d, c
+        c = b - g * (b - a)
+        probes.append(c)
+    return probes + [0.5 * (lo + hi)]
 
 
 # --- the photon-number series of the channel model ---------------------

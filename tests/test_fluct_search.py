@@ -47,17 +47,18 @@ def search_alloc(n_total, w1, w2, u_alpha):
     return DataAllocation(n_total, n_total - n1 - n2, n1, n2, u_alpha)
 
 
-def search_rate(params, eta, estimator, mu, n_total, u_alpha, nu, w1, w2):
+def search_rate(params, eta, estimator, mu, n_total, u_alpha, nu, w1, w2, *floor):
     """The kernel's (rate, Y1_hat, e1_hat) at the search point (nu, w1, w2).
 
     The kernel runs the vacuum+weak analysis when n2 > 0 and the one-decoy
-    trial when n2 = 0, so where the vacuum does not run n2 is 0.
+    trial when n2 = 0, so where the vacuum does not run n2 is 0.  A
+    ``floor`` is passed on to the kernel.
     """
     kernel = fluct._worst_case(params, eta, mu)
     n1 = w1 * n_total
     n2 = w2 * n_total
     q = (n_total - n1 - n2) / (2.0 * n_total)
-    return kernel(nu, n1, n2 if runs_vacuum(params, estimator) else 0.0, q, u_alpha)
+    return kernel(nu, n1, n2 if runs_vacuum(params, estimator) else 0.0, q, u_alpha, *floor)
 
 
 def outcome(fn):
@@ -214,6 +215,56 @@ def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, l
                                            nu, w1, w2)) == outcome(oracle_rate)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(
+    preset=st.sampled_from(("GYS", "KTH")),
+    estimator=st.sampled_from(("vacuum-weak", "one-decoy")),
+    length=st.floats(0.0, 180.0),
+    log_n=st.floats(4.0, 12.0),
+    u_alpha=st.one_of(st.just(0.0), st.floats(0.0, 12.0)),
+    mu_choice=st.one_of(st.just("optimal"), st.just(0.0), st.floats(0.0, 1.2)),
+    nu_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.999), st.floats(-0.5, 2.0)),
+    w1=st.one_of(st.just(0.0), st.floats(1e-4, 0.9)),
+    w2_frac=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+@example(preset="GYS", estimator="vacuum-weak", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice=800.0, nu_frac=0.5, w1=0.3, w2_frac=0.2)
+@example(preset="GYS", estimator="vacuum-weak", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice=0.5, nu_frac=2e-320, w1=0.3, w2_frac=0.2)
+# the +1 direction's rate is negative, and the -1 direction's lower still
+@example(preset="GYS", estimator="vacuum-weak", length=120.0, log_n=9.0, u_alpha=10.0,
+         mu_choice="optimal", nu_frac=0.25, w1=0.5, w2_frac=0.1)
+def test_a_floor_of_zero_keeps_the_clamped_rate(preset, estimator, length, log_n, u_alpha,
+                                                mu_choice, nu_frac, w1, w2_frac):
+    # the search passes floor 0 and clamps at 0: the kernel may stop at the first
+    # direction whose rate is <= 0, and must give the same max(rate, 0) as the
+    # default call, or raise the same exception; on the bit-for-bit test's domain
+    params, mu = {"GYS": (GYS, GYS_MU), "KTH": (KTH, KTH_MU)}[preset]
+    if mu_choice != "optimal":
+        mu = mu_choice
+    nu = nu_frac * mu if mu > 0.0 else nu_frac
+    if nu < 0.0 or mu <= 0.0:
+        return
+    eta = transmittance(params, length).eta
+    w2 = w2_frac * (fluct._W_MAX - w1)
+
+    def clamped(*floor):
+        rate = search_rate(params, eta, estimator, mu, 10.0**log_n, u_alpha, nu, w1, w2,
+                           *floor)[0]
+        return 0.0 if 0.0 > rate else rate
+
+    assert outcome(lambda: clamped(0.0)) == outcome(clamped)
+
+
+def test_a_floor_stops_at_the_first_direction_at_or_below_it():
+    # the -1 direction decides this point's rate; a floor of 0 returns the +1 one
+    eta = transmittance(GYS, 120.0).eta
+    args = (GYS, eta, "vacuum-weak", GYS_MU, 1.0e9, 10.0, 0.25 * GYS_MU, 0.5,
+            0.1 * (fluct._W_MAX - 0.5))
+    assert search_rate(*args, 0.0)[0] > search_rate(*args)[0]
+    assert search_rate(*args, 0.0)[0] < 0.0
+
+
 def clamps_reached(preset, estimator, length, log_n, u_alpha, mu_choice, nu_frac, w1, w2_frac,
                    alloc_kind, pair):
     """The CLAMPS keys that the object path reaches at one search point, either direction."""
@@ -353,13 +404,14 @@ def test_reach_evaluation_count(monkeypatch):
 
 def test_table2_evaluation_count(monkeypatch):
     # 1,107 evaluations before the w2 = 0 corner was optimized once per search,
-    # and 799 before the default seeds went from three to two
+    # 799 before the default seeds went from three to two, and 567 before the
+    # line searches took Brent steps once they saw two unequal values
     eta = transmittance(GYS, 103.62).eta
     res, n, n_bounds = count_calls(
         monkeypatch, lambda: optimize_allocation(GYS, eta, GYS_MU, 6.0e9, u_alpha=10.0)
     )
     assert f"{res.nu:.4f}" == "0.1206"
-    assert (n, n_bounds) == (567, 1)
+    assert (n, n_bounds) == (253, 1)
 
 
 def test_warm_started_scan_pinned(monkeypatch):
@@ -368,24 +420,26 @@ def test_warm_started_scan_pinned(monkeypatch):
     # search cut 4,914 evaluations to 3,367, and the one descent to 1,821;
     # it raised R_L at 100 km from 5.7869309757010755e-06.  Two default seeds
     # instead of three cut them to 1,508 and moved R_L at 20 km from
-    # 0.0007615513059530284
+    # 0.0007615513059530284.  Brent steps in the line searches cut them to 967
+    # and moved every point, e.g. R_L at 20 km from 0.0007615513055773012 and at
+    # 100 km from 5.786930988631158e-06
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
     assert [repr(p) for p in points] == [
-        "ScanPoint(length_km=20.0, rate_lower=0.0007615513055773012, nu=0.04417733239828863, "
-        "n_signal=5657252979.36352, n_decoy1=342747020.63647985, n_decoy2=0.0, "
-        "key_bits=4569307.833463807, low_count_observables=())",
-        "ScanPoint(length_km=60.0, rate_lower=8.692657945117281e-05, nu=0.07544612788762885, "
-        "n_signal=5377408406.925327, n_decoy1=622591593.0746729, n_decoy2=0.0, "
-        "key_bits=521559.47670703684, low_count_observables=())",
-        "ScanPoint(length_km=100.0, rate_lower=5.786930988631158e-06, nu=0.11631438785567137, "
-        "n_signal=4351128440.793346, n_decoy1=1412287051.7654903, n_decoy2=236584507.4411635, "
-        "key_bits=34721.58593178695, low_count_observables=())",
-        "ScanPoint(length_km=125.0, rate_lower=-1.1440742552974221e-06, nu=0.11631438785567137, "
-        "n_signal=4351128440.793346, n_decoy1=1412287051.7654903, n_decoy2=236584507.4411635, "
+        "ScanPoint(length_km=20.0, rate_lower=0.0007615513059165533, nu=0.044179725170845015, "
+        "n_signal=5657264551.215136, n_decoy1=342735448.7848642, n_decoy2=0.0, "
+        "key_bits=4569307.83549932, low_count_observables=())",
+        "ScanPoint(length_km=60.0, rate_lower=8.692657945070193e-05, nu=0.07544651267590809, "
+        "n_signal=5377407092.782934, n_decoy1=622592907.2170655, n_decoy2=0.0, "
+        "key_bits=521559.47670421156, low_count_observables=())",
+        "ScanPoint(length_km=100.0, rate_lower=5.786930988092023e-06, nu=0.11631335550997936, "
+        "n_signal=4351139486.7457485, n_decoy1=1412282205.1502137, n_decoy2=236578308.10403872, "
+        "key_bits=34721.58592855214, low_count_observables=())",
+        "ScanPoint(length_km=125.0, rate_lower=-1.1440927105308e-06, nu=0.11631335550997936, "
+        "n_signal=4351139486.7457485, n_decoy1=1412282205.1502137, n_decoy2=236578308.10403872, "
         "key_bits=0.0, low_count_observables=())",
     ]
-    assert (n, n_bounds) == (1508, 4)
+    assert (n, n_bounds) == (967, 4)
 
 
 def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
@@ -511,5 +565,5 @@ def test_a_link_with_no_background_runs_the_one_decoy_analysis():
     for estimator in ("vacuum-weak", "one-decoy"):
         res = optimize_allocation(params, eta, 0.5, 6.0e9, estimator=estimator)
         assert (res.result.rate_lower, res.nu, res.alloc.n_decoy2) == (
-            1.5917159503384286e-4, 0.05077633869370606, 0.0)
+            1.5917159522453402e-4, 0.05077663986346922, 0.0)
         assert max_distance_fluct(params, 0.5, 6.0e9, estimator=estimator) == 172.453125

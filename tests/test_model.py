@@ -30,6 +30,7 @@ from decoyqkd.model import (
     simulate_observations,
     transmittance,
 )
+from decoyqkd.rate import asymptotic_rate
 
 # GYS fiber, frozen reference values
 ETA_40KM = 0.006504478968356672
@@ -196,6 +197,17 @@ def test_a_link_whose_overall_gain_exceeds_one_is_rejected():
         "mu=0.48, eta=1.0: the model needs y0 <= e^(-eta mu)")
     with pytest.raises(ValidationError, match="overall gain"):
         simulate_observations(bright, 1.0, (0.48, 0.12, 0.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: overall_gain(math.nan, GYS, 0.5),
+    lambda: simulate_observations(GYS, 0.5, (math.nan, 0.1)),
+    lambda: asymptotic_rate(GYS, 0.5, math.nan),
+], ids=["overall_gain", "simulate_observations", "asymptotic_rate"])
+def test_a_nan_mean_photon_number_is_rejected(call):
+    # `mu < 0` is false for nan: these returned nan or named q_mu
+    with pytest.raises(ValidationError, match="^mean photon number must be >= 0, got nan$"):
+        call()
 
 
 def test_qber_undefined_without_any_detections():

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from helpers import finite_difference
+from helpers import finite_difference, flat_golden_section_probes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,22 +76,25 @@ def test_maximize_scalar_flat_objective():
     assert res.value == 7.0
 
 
-# repr of each result, recorded before the search's bookkeeping lost its min/max
-# calls; (f, lo, hi) at the allocation search's tolerances
+# repr of each result, recorded when the line search took Brent steps once it
+# saw two unequal values; (f, lo, hi) at the allocation search's tolerances.
+# Golden section alone gave x=0.5000011384231473 ("nan first"),
+# 0.2000001074980999 ("ties") and -30.000001083721255 ("lo < 0")
 MAXIMIZE_PINS = {
-    # the first probe is NaN, which builtin min/max keep as the running extreme
+    # the first probe is NaN, which builtin min/max keep as the running extreme:
+    # the probes do not look flat, and Brent runs from the start
     "nan first": ((lambda x: math.nan if x < 0.5 else 1.0), 0.0, 1.0,
-                  "MaximizeResult(x=0.5000011384231473, value=1.0, converged=True)"),
+                  "MaximizeResult(x=0.9999967891390135, value=1.0, converged=True)"),
     # NaN after a number, which they ignore: the probes look flat
     "nan later": ((lambda x: math.nan if x > 0.6 else -((x - 0.3) ** 2)), 0.0, 1.0,
                   "MaximizeResult(x=0.5, value=-0.04000000000000001, converged=False)"),
     "ties": ((lambda x: 1.0 if 0.2 < x < 0.8 else 0.0), 0.0, 1.0,
-             "MaximizeResult(x=0.2000001074980999, value=1.0, converged=True)"),
+             "MaximizeResult(x=0.23607279993762892, value=1.0, converged=True)"),
     # the tolerance grows with max(|a|, |b|), which is |a| here; with b in its place
-    # it would fall below 0 and the search would never converge
+    # it would fall below 0 and the search would never converge.  A parabola is
+    # its own parabolic fit
     "lo < 0": ((lambda x: -((x + 30.0) ** 2)), -100.0, 10.0,
-               "MaximizeResult(x=-30.000001083721255, value=-1.1744517584466186e-12, "
-               "converged=True)"),
+               "MaximizeResult(x=-30.0, value=-0.0, converged=True)"),
     "flat": ((lambda x: 7.0), 0.0, 4.0, "MaximizeResult(x=2.0, value=7.0, converged=False)"),
 }
 
@@ -100,6 +103,66 @@ MAXIMIZE_PINS = {
 def test_maximize_scalar_pinned_bit_for_bit(case):
     f, lo, hi, expected = MAXIMIZE_PINS[case]
     assert repr(maximize_scalar(f, lo, hi, 1e-5, 1e-6)) == expected
+
+
+# the allocation search's three line searches, and a bracket below 0
+FLAT_BRACKETS = [(1e-3, 0.999 * 0.48), (1e-4, 0.98), (1e-6, 0.5), (-100.0, 10.0)]
+
+
+@pytest.mark.parametrize("lo, hi", FLAT_BRACKETS)
+def test_a_flat_line_search_probes_the_golden_section_points(lo, hi):
+    # while every probe returns the same value, the search is plain golden
+    # section: a reach probe, whose objective is 0 until its first positive
+    # rate, walks these points, so its sign and count owe nothing to Brent's steps
+    probes = []
+    res = maximize_scalar(lambda x: probes.append(x) or 0.0, lo, hi, 1e-5, 1e-6)
+    assert probes == flat_golden_section_probes(lo, hi, 1e-5, 1e-6)
+    assert (res.x, res.value, res.converged) == (0.5 * (lo + hi), 0.0, False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(bracket=st.sampled_from(FLAT_BRACKETS), first=st.integers(0, 40),
+       value=st.sampled_from((1.0, -1.0, 5e-324, math.inf)))
+def test_a_line_search_is_golden_section_until_its_first_unequal_probe(bracket, first, value):
+    # 0 at every probe but the one numbered ``first``, which returns ``value``
+    lo, hi = bracket
+    probes = []
+
+    def zero_until_first(x):
+        probes.append(x)
+        return value if len(probes) == first + 1 else 0.0
+
+    maximize_scalar(zero_until_first, lo, hi, 1e-5, 1e-6)
+    golden = flat_golden_section_probes(lo, hi, 1e-5, 1e-6)
+    # c and d are both probed before any comparison
+    same = max(first + 1, 2)
+    assert probes[:same] == golden[:same]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    lo=st.floats(-100.0, 100.0),
+    span=st.floats(1e-3, 10.0),
+    where=st.floats(-1.0, 2.0),
+    skew=st.floats(0.2, 5.0),
+    abs_tol=st.floats(1e-4, 1e-2),
+    rel_tol=st.floats(1e-9, 1e-3),
+)
+@example(lo=0.0, span=1.0, where=0.5, skew=1.0, abs_tol=1e-4, rel_tol=1e-6)
+@example(lo=0.0, span=1.0, where=-1.0, skew=5.0, abs_tol=1e-4, rel_tol=1e-6)  # at lo
+@example(lo=0.0, span=1.0, where=2.0, skew=0.2, abs_tol=1e-4, rel_tol=1e-6)  # at hi
+def test_maximize_scalar_converges_on_a_smooth_concave_function(lo, span, where, skew,
+                                                                abs_tol, rel_tol):
+    # s z - e^(s z) with z = (x - t) / span peaks at x = t, and is steeper on
+    # one side; a peak off the bracket is at its nearer end
+    hi = lo + span
+    t = lo + where * span
+    res = maximize_scalar(lambda x: skew * (x - t) / span - math.exp(skew * (x - t) / span),
+                          lo, hi, abs_tol, rel_tol)
+    assert res.converged
+    assert lo <= res.x <= hi
+    peak = min(max(t, lo), hi)
+    assert abs(res.x - peak) <= abs_tol + rel_tol * max(abs(lo), abs(hi))
 
 
 def test_finite_difference_sine():

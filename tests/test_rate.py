@@ -111,8 +111,21 @@ def test_optimal_intensities_are_pinned_bit_for_bit():
     assert repr(optimal_mu(GYS)) == "0.478922748993619"
     assert repr(optimal_mu(KTH, f_ec=1.0)) == "0.8036684940669774"
     assert repr(optimal_mu(KTH)) == "0.768705375258206"
-    assert repr(optimal_mu_exact(GYS, transmittance(GYS, 50.0).eta)) == "0.4793025370829066"
-    assert repr(optimal_mu_wang(GYS)) == "0.2655542782210621"
+    # the last two recorded when the line search took Brent steps once it saw two
+    # unequal values: 0.4793025370829066 and 0.2655542782210621 by golden section
+    assert repr(optimal_mu_exact(GYS, transmittance(GYS, 50.0).eta)) == "0.47930252999665174"
+    assert repr(optimal_mu_wang(GYS)) == "0.2696828674551815"
+
+
+def wang_reach(mu):
+    return max_secure_distance(lambda l: wang_asymptotic_rate(GYS, transmittance(GYS, l).eta, mu))
+
+
+def test_optimal_mu_wang_is_on_the_top_plateau_of_a_grid():
+    # the reach is piecewise constant in mu, so any line search returns one point
+    # of its top plateau: the reach there is the best of a 0.001-step grid
+    best = max(wang_reach(0.25 + 0.001 * i) for i in range(51))
+    assert wang_reach(optimal_mu_wang(GYS)) == best == 128.72265625
 
 
 def test_optimal_mu_stationarity():
