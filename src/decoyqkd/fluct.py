@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import MU_MAX, _check_mu_range, _check_one_decoy_intensities
 from .model import (
@@ -85,8 +85,9 @@ class FluctuatedBounds:
     """Worst-case single-photon bounds and key yield for one allocation.
 
     The betas are u_alpha times the quadrature-propagated relative
-    standard error of each estimate (beta_r is instead the realized rate
-    penalty against the same protocol without fluctuations).
+    standard error of each estimate, and inf, whatever u_alpha, where that
+    error is unbounded (beta_r is instead the realized rate penalty
+    against the same protocol without fluctuations).
     key_bits_lower = max(rate_lower, 0) * n_total.
     """
 
@@ -146,16 +147,6 @@ def _band(u_alpha: float, name: str, n_pulses: float, value: float) -> float:
     return u_alpha / math.sqrt(count)
 
 
-def _low_counts(obs: ObservedRates, alloc: DataAllocation) -> Tuple[str, ...]:
-    checks = [
-        ("q_nu1", alloc.n_decoy1 * obs.q_nu1),
-        ("e_nu1*q_nu1", alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1),
-    ]
-    if obs.has_second_decoy:
-        checks.append(("q_nu2", alloc.n_decoy2 * obs.q_nu2))
-    return tuple(name for name, count in checks if count < LOW_COUNT_FLOOR)
-
-
 def fluctuated_bounds(
     params: ExperimentParams,
     eta: float,
@@ -165,10 +156,10 @@ def fluctuated_bounds(
 ) -> FluctuatedBounds:
     """Worst-case bounds and key yield for one allocation at one channel.
 
-    ``intensities`` must be (mu, nu) for one-decoy or (mu, nu, 0) for
-    vacuum+weak; a vacuum+weak request with no vacuum pulses, or on a link
-    with no background, degrades to the one-decoy analysis.  ``estimator``
-    is one of rate.FINITE_SIZE_ESTIMATORS.
+    ``intensities`` is (mu, nu) or (mu, nu, 0); its length selects nothing.
+    The vacuum+weak analysis runs where ``estimator`` (one of
+    rate.FINITE_SIZE_ESTIMATORS) is vacuum+weak, the allocation has vacuum
+    pulses and the link a background; anywhere else the one-decoy analysis.
     """
     row = get_estimator(estimator, finite_size=True)
     mu, nu, nu2 = _unpack_intensities(intensities)
@@ -177,12 +168,16 @@ def fluctuated_bounds(
 
     # no vacuum events, or no background to estimate: the kernel's n2 = 0 analysis
     vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0 and params.y0 != 0.0
-    obs = simulate_observations(params, eta, (mu, nu, 0.0) if vacuum else (mu, nu))
-    worst_case = _worst_case(params, eta, mu)
+    obs = simulate_observations(params, eta, (mu, nu))
+    y0 = params.y0 if vacuum else 0.0  # the vacuum decoy's gain is the background yield
     n1, n2, q = alloc.n_decoy1, alloc.n_decoy2 if vacuum else 0.0, alloc.q
+    counts = {"q_nu1": n1 * obs.q_nu1, "e_nu1*q_nu1": n1 * obs.e_nu1 * obs.q_nu1}
+    if vacuum:
+        counts["q_nu2"] = n2 * y0
+    worst_case = _worst_case(params, eta, mu)
     rate_hat, y1_hat, e1_hat = worst_case(nu, n1, n2, q, alloc.u_alpha)
     rate_plain, y1_plain, e1_plain = worst_case(nu, n1, n2, q, 0.0)
-    betas = _quadrature_betas(obs, alloc, mu, nu, y1_plain, e1_plain)
+    betas = _quadrature_betas(obs, counts, y0, mu, nu, alloc.u_alpha, y1_plain, e1_plain)
     beta_r = 0.0
     if rate_plain > 0.0:
         beta_r = max(0.0, 1.0 - rate_hat / rate_plain)
@@ -195,7 +190,8 @@ def fluctuated_bounds(
         beta_y1=betas[1],
         beta_e1=betas[2],
         beta_r=beta_r,
-        low_count_observables=_low_counts(obs, alloc),
+        low_count_observables=tuple(
+            name for name, count in counts.items() if count < LOW_COUNT_FLOOR),
     )
 
 
@@ -316,46 +312,47 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
 
 def _quadrature_betas(
     obs: ObservedRates,
-    alloc: DataAllocation,
+    counts: Dict[str, float],
+    y0: float,
     mu: float,
     nu: float,
+    u_alpha: float,
     y1_plain: float,
     e1_plain: float,
 ) -> Tuple[float, float, float]:
-    """u_alpha times propagated relative standard errors of Y0, Y1, e1, from unshifted bounds."""
-    use_vacuum = obs.has_second_decoy
-    u = alloc.u_alpha
-    # Y1 floored or capped, or no weak-decoy events (only at u_alpha = 0): unbounded errors
-    if not 0.0 < y1_plain < 1.0 or alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1 <= 0.0:
-        beta_y0 = u / math.sqrt(alloc.n_decoy2 * obs.q_nu2) if use_vacuum else 0.0
-        return beta_y0, math.inf, math.inf
+    """u_alpha times propagated relative standard errors of Y0, Y1, e1, from unshifted bounds.
 
-    d_qnu = 1.0 / math.sqrt(alloc.n_decoy1 * obs.q_nu1)
-    d_eqnu = 1.0 / math.sqrt(alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1)
-    prefactor = mu / ((mu - nu) * nu)
-    a_term = prefactor * obs.q_nu1 * math.exp(nu) / y1_plain
-
-    contrib_y1 = [(a_term * d_qnu) ** 2]
-    beta_y0 = 0.0
-    e_num = obs.e_nu1 * obs.q_nu1 * math.exp(nu)
-    if use_vacuum:
-        y0 = obs.q_nu2
-        d_y0 = 1.0 / math.sqrt(alloc.n_decoy2 * y0)
-        beta_y0 = u * d_y0
+    ``counts`` holds each band's expected events.  Without a vacuum decoy
+    (no "q_nu2" count) this is the vacuum algebra at Y0 := 0, with no Y0
+    error.  A beta is inf, whatever u_alpha, where its error is unbounded:
+    a count is 0, Y1 is floored or capped, or a square passes the float range.
+    """
+    count_y0 = counts.get("q_nu2", math.inf)  # 1/sqrt(inf) = 0: no Y0 error
+    d_y0 = 1.0 / math.sqrt(count_y0) if count_y0 > 0.0 else math.inf
+    beta_y1 = beta_e1 = math.inf
+    if 0.0 < y1_plain < 1.0 and counts["e_nu1*q_nu1"] > 0.0:
+        d_qnu = 1.0 / math.sqrt(counts["q_nu1"])
+        d_eqnu = 1.0 / math.sqrt(counts["e_nu1*q_nu1"])
+        prefactor = mu / ((mu - nu) * nu)
+        a_term = prefactor * obs.q_nu1 * math.exp(nu) / y1_plain
         c_term = prefactor * (mu**2 - nu**2) / mu**2 * y0 / y1_plain
-        contrib_y1.append((c_term * d_y0) ** 2)
-        e_num = e_num - E0 * y0
-    sig_y1 = math.sqrt(sum(contrib_y1))
+        sig_y1 = _quadrature(a_term * d_qnu, c_term * d_y0)
+        beta_y1 = u_alpha * sig_y1
+        e_gain = obs.e_nu1 * obs.q_nu1 * math.exp(nu)
+        e_num = e_gain - E0 * y0
+        if e_num > 0.0 and e1_plain > 0.0:
+            beta_e1 = u_alpha * _quadrature(e_gain / e_num * d_eqnu, sig_y1,
+                                            E0 * y0 / e_num * d_y0)
+    # NaN is 0 times an unbounded error: u_alpha = 0, or a term 0 next to an infinite one
+    return tuple(math.inf if math.isnan(b) else b for b in (u_alpha * d_y0, beta_y1, beta_e1))
 
-    if e_num <= 0.0 or e1_plain <= 0.0:
-        return beta_y0, u * sig_y1, math.inf
-    contrib_e1 = [
-        (obs.e_nu1 * obs.q_nu1 * math.exp(nu) / e_num * d_eqnu) ** 2,
-        sig_y1**2,
-    ]
-    if use_vacuum:
-        contrib_e1.append((E0 * obs.q_nu2 / e_num * d_y0) ** 2)
-    return beta_y0, u * sig_y1, u * math.sqrt(sum(contrib_e1))
+
+def _quadrature(*terms: float) -> float:
+    """sqrt of the sum of the terms' squares, inf where a square passes the float range."""
+    try:
+        return math.sqrt(sum(t**2 for t in terms))
+    except OverflowError:  # where x * x would give inf, x**2 raises
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 Everything this package optimizes is cheap to evaluate and
 one-dimensional (or reducible to coordinate-wise line searches), and
 smooth where it is not flat, so one line search and bisection are used
-throughout.  The line search is golden section while every probe has
-returned the same value (a reach probe's clamped objective is 0 until
-its first positive rate) and Brent's method once it sees shape.  No
-derivatives are required anywhere.
+throughout.  The line search is golden section while its two interior
+probes tie (a reach probe's clamped objective is 0 until its first
+positive rate) and Brent's method once they differ.  No derivatives are
+required anywhere.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ class MaximizeResult:
     """Outcome of a bounded scalar maximization.
 
     ``converged`` is False when the iteration cap was hit before the
-    bracket shrank to tolerance, or when the objective was flat over
-    every probe (in which case ``x`` is the bracket midpoint).
+    bracket shrank to tolerance, or when every pair of interior probes
+    tied (in which case ``x`` is the bracket midpoint).
     """
 
     x: float
@@ -39,15 +39,17 @@ def maximize_scalar(
 ) -> MaximizeResult:
     """Maximum of ``f`` on [lo, hi]: golden section while ``f`` looks flat, then Brent.
 
-    Golden-section steps run for as long as every probe has returned the
-    same value.  At the first unequal pair the bracket shrinks by that
+    Golden-section steps run for as long as the two interior probes tie
+    (each step replaces one of them, so every earlier probe tied too).  At
+    the first pair that does not tie the bracket shrinks by that
     comparison, and Brent's method (Brent 1973, ch. 5; scipy's fminbound
-    loop, written for a maximum) continues from the better point: a
+    loop, written for a maximum) continues from the larger point, or from
+    the number where the other is NaN, so a NaN is never the incumbent: a
     parabolic step through the three best points, or a golden-section
     step where the parabola is not trusted.  The search stops once its
     bracket [a, b] is no wider than ``abs_tol + rel_tol * max(|a|, |b|)``,
-    or after 200 steps.  A search that never saw two unequal values
-    returns the bracket midpoint, unconverged.
+    or after 200 steps.  A search whose probes tied throughout returns
+    the bracket midpoint, unconverged.
     Needs -inf < lo < hi < inf and finite tolerances > 0 (else ValueError).
     """
     if not -math.inf < lo < hi < math.inf:
@@ -55,45 +57,30 @@ def maximize_scalar(
     for name, tol in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
         if not 0.0 < tol < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {tol}")
-    # the allocation search's line searches run this loop, so each min/max is a
-    # comparison in the builtin's argument order: NaN probes and the flat test
-    # below come out as with the builtins
+    # golden section replaces one interior point per step, so while c and d
+    # tie every earlier probe tied too; a tie keeps the left point
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    v_lo = fd if fd < fc else fc
-    v_hi = fd if fd > fc else fc
     steps = 0
-    while v_hi - v_lo == 0.0:
+    while fc == fd:
         # max(abs(a), abs(b)) is max(-a, b), since every step keeps a <= b
         if steps == _MAX_ITER or (b - a) <= abs_tol + rel_tol * (-a if -a > b else b):
             # objective indistinguishable from a constant over every probe
             mid = 0.5 * (lo + hi)
             return MaximizeResult(x=mid, value=f(mid), converged=False)
         steps += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-            if fc < v_lo:
-                v_lo = fc
-            if fc > v_hi:
-                v_hi = fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-            if fd < v_lo:
-                v_lo = fd
-            if fd > v_hi:
-                v_hi = fd
-    # Brent from the better of c and d; w and v are the second and third best
-    # points, u the latest probe, e the step before last and step the last
-    if fc >= fd:
-        b, x, fx, w, fw = d, c, fc, d, fd
-    else:
+        b, d, fd = d, c, fc
+        c = b - _INV_GOLDEN * (b - a)
+        fc = f(c)
+    # Brent from the larger of c and d, never a NaN while the other is a number;
+    # w and v are the second and third best points, u the latest probe, e the
+    # step before last and step the last
+    if fd > fc or fc != fc:
         a, x, fx, w, fw = c, d, fd, c, fc
+    else:
+        b, x, fx, w, fw = d, c, fc, d, fd
     v, fv = w, fw
     e = step = 0.0
     converged = False

@@ -37,7 +37,13 @@ def oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator="vacuum-
 
     est_plain = row.estimate(obs, ints)
     rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
-    betas = fluct._quadrature_betas(obs, alloc, mu, nu, est_plain.y1_lower, est_plain.e1_upper)
+    counts = {"q_nu1": alloc.n_decoy1 * obs.q_nu1,
+              "e_nu1*q_nu1": alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1}
+    if use_vacuum:
+        counts["q_nu2"] = alloc.n_decoy2 * obs.q_nu2
+    y0 = obs.q_nu2 if use_vacuum else 0.0
+    betas = fluct._quadrature_betas(obs, counts, y0, mu, nu, alloc.u_alpha,
+                                    est_plain.y1_lower, est_plain.e1_upper)
     beta_r = 0.0
     if rate_plain > 0.0:
         beta_r = max(0.0, 1.0 - rate_hat / rate_plain)
@@ -50,5 +56,6 @@ def oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator="vacuum-
         beta_y1=betas[1],
         beta_e1=betas[2],
         beta_r=beta_r,
-        low_count_observables=fluct._low_counts(obs, alloc),
+        low_count_observables=tuple(
+            name for name, count in counts.items() if count < fluct.LOW_COUNT_FLOOR),
     )

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from decoyqkd import fluct
-from decoyqkd.bounds import vacuum_weak_bounds
+from decoyqkd.bounds import one_decoy_trial, vacuum_weak_bounds
 from decoyqkd.fluct import (
     DataAllocation,
     InsufficientDataError,
@@ -22,7 +22,7 @@ from decoyqkd.fluct import (
     scan_distance_fluct,
 )
 from decoyqkd.model import GYS, ValidationError, simulate_observations, transmittance
-from decoyqkd.rate import asymptotic_rate, vacuum_weak_rate
+from decoyqkd.rate import asymptotic_rate, optimal_mu, vacuum_weak_rate
 
 ETA_40KM = transmittance(GYS, 40.0).eta
 ETA_100KM = transmittance(GYS, 100.0).eta
@@ -189,6 +189,53 @@ def test_betas_scale_with_u_alpha_and_pulse_budget():
     fb4n = fluctuated_bounds(GYS, ETA_100KM, INTENSITIES, make_alloc(n_total=2.4e10))
     for name in ("beta_y0", "beta_y1", "beta_e1"):
         assert getattr(fb4n, name) == pytest.approx(0.5 * getattr(fb10, name), rel=1e-9)
+
+
+def _log_sensitivity(y1_of, obs, field, h=1e-6):
+    """d ln Y1 / d ln X by a central difference, X the observable ``field`` of ``obs``."""
+    x = getattr(obs, field)
+    up = y1_of(dataclasses.replace(obs, **{field: x * (1.0 + h)}))
+    down = y1_of(dataclasses.replace(obs, **{field: x * (1.0 - h)}))
+    return (up - down) / (2.0 * h * y1_of(obs))
+
+
+@pytest.mark.parametrize("length, estimator", [(103.62, "vacuum-weak"), (60.0, "one-decoy")])
+def test_beta_y1_is_an_independent_propagation_of_the_bands(length, estimator):
+    # beta_Y1 = u_alpha sqrt(sum_X (d ln Y1 / d ln X)^2 / C_X) over the bands X that Y1
+    # reads, C_X the band's expected events; table2's optimum, and a one-decoy one
+    eta = transmittance(GYS, length).eta
+    mu = optimal_mu(GYS)
+    res = optimize_allocation(GYS, eta, mu, 6.0e9, estimator=estimator)
+    alloc, nu = res.alloc, res.nu
+    if estimator == "vacuum-weak":
+        obs = simulate_observations(GYS, eta, (mu, nu, 0.0))
+        bands = [("q_nu1", alloc.n_decoy1), ("q_nu2", alloc.n_decoy2)]
+        y1_of = lambda o: vacuum_weak_bounds(o, mu, nu).y1_lower  # noqa: E731
+    else:
+        obs = simulate_observations(GYS, eta, (mu, nu))
+        bands = [("q_nu1", alloc.n_decoy1)]
+        y1_of = lambda o: one_decoy_trial(o, mu, nu).y1_lower  # noqa: E731
+    variance = sum(_log_sensitivity(y1_of, obs, field) ** 2 / (n * getattr(obs, field))
+                   for field, n in bands)
+    assert res.result.beta_y1 == pytest.approx(alloc.u_alpha * math.sqrt(variance), rel=1e-7)
+
+
+@pytest.mark.parametrize("n_decoy2, u_alpha", [(1.07e-309, 10.0), (1.07e-309, 0.0), (1e-320, 0.0)])
+def test_a_subnormal_vacuum_count_reports_unbounded_betas(n_decoy2, u_alpha):
+    # N2 * Y0 is subnormal, so a square of 1/sqrt(N2 * Y0) passes the float range,
+    # or it underflows to 0: the kernel still gives a rate, and a beta is inf, not an error
+    eta = transmittance(GYS, 0.0).eta
+    mu = optimal_mu(GYS)
+    nu = mu / 2.0
+    alloc = DataAllocation(1e4, 1e4 - 5e3 - n_decoy2, 5e3, n_decoy2, u_alpha)
+    fb = fluctuated_bounds(GYS, eta, (mu, nu, 0.0), alloc)
+    kernel = fluct._worst_case(GYS, eta, mu)(nu, alloc.n_decoy1, n_decoy2, alloc.q, u_alpha)
+    assert (fb.rate_lower, fb.y1_hat_lower, fb.e1_hat_upper) == kernel
+    betas = (fb.beta_y0, fb.beta_y1, fb.beta_e1)
+    assert not any(math.isnan(beta) for beta in betas)
+    assert fb.beta_e1 == math.inf
+    if n_decoy2 * GYS.y0 == 0.0:  # no vacuum events: every error is unbounded, whatever u_alpha
+        assert betas == (math.inf, math.inf, math.inf)
 
 
 def test_low_count_flagging():

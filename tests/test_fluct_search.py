@@ -177,6 +177,15 @@ CLAMPS = {
          mu_choice=0.5, nu_frac=2e-320, w1=0.3, w2_frac=0.2, alloc_kind="search", pair=False)
 @example(preset="KTH", estimator="one-decoy", length=40.0, log_n=10.0, u_alpha=0.0,
          mu_choice=0.5, nu_frac=1e-323, w1=0.3, w2_frac=0.0, alloc_kind="search", pair=True)
+# N2 * Y0 is subnormal, or underflows to 0 (w2 = 5e-324): betas inf, not a float error
+@example(preset="GYS", estimator="vacuum-weak", length=0.0, log_n=4.0, u_alpha=10.0,
+         mu_choice="optimal", nu_frac=0.5, w1=0.5, w2_frac=2.22916666666e-313,
+         alloc_kind="search", pair=False)
+@example(preset="GYS", estimator="vacuum-weak", length=0.0, log_n=4.0, u_alpha=0.0,
+         mu_choice="optimal", nu_frac=0.5, w1=0.5, w2_frac=2.22916666666e-313,
+         alloc_kind="search", pair=False)
+@example(preset="GYS", estimator="vacuum-weak", length=0.0, log_n=4.0, u_alpha=0.0,
+         mu_choice="optimal", nu_frac=0.5, w1=0.5, w2_frac=1e-323, alloc_kind="search", pair=False)
 @example(**CLAMPS["q1 floored at 0"])
 @example(**CLAMPS["e1 capped at 1"])
 @example(**CLAMPS["vacuum band floored at 0"])

@@ -81,13 +81,13 @@ def test_maximize_scalar_flat_objective():
 # Golden section alone gave x=0.5000011384231473 ("nan first"),
 # 0.2000001074980999 ("ties") and -30.000001083721255 ("lo < 0")
 MAXIMIZE_PINS = {
-    # the first probe is NaN, which builtin min/max keep as the running extreme:
-    # the probes do not look flat, and Brent runs from the start
+    # a NaN probe ties nothing, so Brent runs from the start, from the number
     "nan first": ((lambda x: math.nan if x < 0.5 else 1.0), 0.0, 1.0,
                   "MaximizeResult(x=0.9999967891390135, value=1.0, converged=True)"),
-    # NaN after a number, which they ignore: the probes look flat
     "nan later": ((lambda x: math.nan if x > 0.6 else -((x - 0.3) ** 2)), 0.0, 1.0,
-                  "MaximizeResult(x=0.5, value=-0.04000000000000001, converged=False)"),
+                  "MaximizeResult(x=0.3, value=-0.0, converged=True)"),
+    # inf == inf: the probes tie, so the search is flat
+    "inf": ((lambda x: math.inf), 0.0, 1.0, "MaximizeResult(x=0.5, value=inf, converged=False)"),
     "ties": ((lambda x: 1.0 if 0.2 < x < 0.8 else 0.0), 0.0, 1.0,
              "MaximizeResult(x=0.23607279993762892, value=1.0, converged=True)"),
     # the tolerance grows with max(|a|, |b|), which is |a| here; with b in its place
