@@ -147,10 +147,10 @@ def _add_params_opts(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args) -> ExperimentParams:
-    if args.config:
-        params = load_params(args.config)
-    else:
-        params = get_preset(args.preset)
+    try:
+        params = load_params(args.config) if args.config else get_preset(args.preset)
+    except OSError as exc:
+        raise ValidationError(f"--config {args.config}: {exc.strerror}") from None
     if args.f_ec is not None:
         params = dataclasses.replace(params, f_ec=args.f_ec)
     return params
@@ -167,8 +167,11 @@ def _csv_out(path: Optional[str]):
         return
     buf = io.StringIO()
     yield csv.writer(buf, lineterminator="\n")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
+    except OSError as exc:
+        raise ValidationError(f"--out {path}: {exc.strerror}") from None
     print(f"wrote {path}")
 
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bounds import MU_MAX, _check_mu_range, _check_one_decoy_intensities
+from .bounds import _check_mu_range, _check_one_decoy_intensities
 from .model import (
     E0,
     ExperimentParams,
@@ -39,7 +39,7 @@ from .model import (
     transmittance,
 )
 from .numerics import find_zero_crossing, maximize_scalar
-from .rate import VACUUM_WEAK, KeyRateInputs, binary_entropy, get_estimator
+from .rate import VACUUM_WEAK, binary_entropy, get_estimator
 from .rate import key_rate_strong  # noqa: F401 - bound here for perfbench's tracer only
 
 LOW_COUNT_FLOOR = 50.0  # below this many expected events the band is dubious
@@ -160,6 +160,9 @@ def fluctuated_bounds(
     The vacuum+weak analysis runs where ``estimator`` (one of
     rate.FINITE_SIZE_ESTIMATORS) is vacuum+weak, the allocation has vacuum
     pulses and the link a background; anywhere else the one-decoy analysis.
+    It checks first the observations at (mu, nu), then the intensities as
+    the estimators do, then that the allocation has signal pulses; after
+    that a band with no expected events raises InsufficientDataError.
     """
     row = get_estimator(estimator, finite_size=True)
     mu, nu, nu2 = _unpack_intensities(intensities)
@@ -169,8 +172,11 @@ def fluctuated_bounds(
     # no vacuum events, or no background to estimate: the kernel's n2 = 0 analysis
     vacuum = row.observes == VACUUM_WEAK and alloc.n_decoy2 > 0.0 and params.y0 != 0.0
     obs = simulate_observations(params, eta, (mu, nu))
-    y0 = params.y0 if vacuum else 0.0  # the vacuum decoy's gain is the background yield
+    _check_one_decoy_intensities(mu, nu)
     n1, n2, q = alloc.n_decoy1, alloc.n_decoy2 if vacuum else 0.0, alloc.q
+    if not q > 0.0:  # no signal pulses: q <= 1/2 holds by DataAllocation's sum
+        raise ValidationError(f"q must lie in (0, 1], got {q}")
+    y0 = params.y0 if vacuum else 0.0  # the vacuum decoy's gain is the background yield
     counts = {"q_nu1": n1 * obs.q_nu1, "e_nu1*q_nu1": n1 * obs.e_nu1 * obs.q_nu1}
     if vacuum:
         counts["q_nu2"] = n2 * y0
@@ -200,14 +206,17 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
 
     The worst-case rate at one channel, for n1 weak-decoy and n2 vacuum
     pulses, sifting factor q and a u_alpha-sigma band, in the worse of the
-    two vacuum-gain directions; the +1 direction wins ties.  The first direction whose rate is <= ``floor`` is returned
-    at once, so max(R_hat, floor) is what the default -inf floor gives.
-    f performs the float operations of simulate_observations,
-    perturb_observations, vacuum_weak_bounds (one_decoy_trial at n2 = 0)
-    and key_rate_strong in their order, without building their objects,
-    and raises what that path raises, on the same observable and in the
-    same order.  What does not depend on f's arguments is computed and
-    checked here, once.
+    two vacuum-gain directions; the +1 direction wins ties.  The first
+    direction whose rate is <= ``floor`` is returned at once, so
+    max(R_hat, floor) is what the default -inf floor gives.  f performs
+    the float operations of simulate_observations, perturb_observations,
+    vacuum_weak_bounds (one_decoy_trial at n2 = 0) and key_rate_strong in
+    their order, without building their objects or their checks.
+
+    f's domain, which fluctuated_bounds checks on entry and the search keeps
+    to, is 0 < nu < mu with a finite Y1 prefactor mu / (nu (mu - nu)), mu
+    within _check_mu_range, and q in (0, 1].  There f raises only where the
+    gain at nu is zero, and _band's InsufficientDataError on an empty band.
 
     f is the allocation search's inner loop, so it makes no call it can
     avoid: it inlines _band (calling it only to raise) and binary_entropy,
@@ -219,12 +228,8 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
     e_mu = overall_qber(mu, params, eta)
     y0 = params.y0  # the background yield, and the vacuum decoy's gain exactly
 
-    f_ec = params.f_ec
-    signal = -q_mu * f_ec * binary_entropy(e_mu)
-    # past MU_MAX e^mu overflows, and every call raises what the estimators raise
-    overflow = mu > MU_MAX
-    nu_limit = 0.0 if overflow else mu
-    q_mu_e_mu = math.inf if overflow else q_mu * math.exp(mu)
+    signal = -q_mu * params.f_ec * binary_entropy(e_mu)
+    q_mu_e_mu = q_mu * math.exp(mu)
     e_minus_mu = math.exp(-mu)
     mu2 = mu**2
     neg_eta = -eta
@@ -240,9 +245,6 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
         if q_nu1 <= 0.0:
             raise ValidationError("QBER undefined: overall gain is zero")
         e_nu1 = (e0_y0 + e_det * -x) / q_nu1
-        if not (q_nu1 <= 1.0 and 0.0 <= e_nu1 <= 1.0):
-            overall_gain(nu, params, eta)  # raises its message where q_nu1 > 1
-            ObservedRates(q_mu=q_mu, e_mu=e_mu, q_nu1=q_nu1, e_nu1=e_nu1)  # raises its message
         # perturb_observations; the one-decoy trial is the vacuum+weak algebra at Y0 = 0
         vacuum = n2 > 0.0
         q1, e1 = q_nu1, e_nu1
@@ -267,16 +269,11 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
                     _band(u_alpha, "q_nu2", n2, y0)
                 delta0 = u_alpha / sqrt(count)
                 up = y0 * (1.0 + delta0)
-                up = 0.0 if 0.0 > up else up
                 down = y0 * (1.0 - delta0)
                 down = 0.0 if 0.0 > down else down
                 y0_hats = (1.0 if 1.0 < up else up, 1.0 if 1.0 < down else down)
         # the estimator and key_rate_strong, once per vacuum-gain direction
-        # no finite scale: the divisor underflowed (it does whenever mu**2 does) or is tiny
-        divisor = nu * (mu - nu)
-        scale = mu / divisor if divisor else inf
-        if not 0.0 < nu < nu_limit or scale == inf:
-            _check_one_decoy_intensities(mu, nu)  # raises its message
+        scale = mu / (nu * (mu - nu))
         ex_nu = exp(nu)
         nu2_mu2 = nu**2 / mu2
         q1_ex_nu = q1 * ex_nu
@@ -293,12 +290,8 @@ def _worst_case(params: ExperimentParams, eta: float, mu: float):
                 e1_upper = 0.5 if 0.5 < e1_upper else e1_upper
             # (y1 * mu) * e^-mu, as the estimators round it; y1 * (mu * e^-mu) differs
             q1_lower = y1 * mu * e_minus_mu
-            if not (0.0 < q <= 1.0 and 0.0 <= q1_lower < inf and 0.0 <= e1_upper <= 1.0):
-                KeyRateInputs(q=q, q_mu=q_mu, e_mu=e_mu, q1_lower=q1_lower,
-                              e1_upper=e1_upper, f_ec=f_ec)  # raises its message
-            # binary_entropy(e1_upper); the check above rejected e1_upper outside [0, 1]
-            h = 0.0
-            if e1_upper != 0.0 and e1_upper != 1.0:
+            h = 0.0  # binary_entropy(e1_upper), e1_upper in [0, 0.5]
+            if e1_upper != 0.0:
                 h = -(e1_upper * log2(e1_upper) + (1.0 - e1_upper) * log2(1.0 - e1_upper))
             rate = q * (signal + q1_lower * (1.0 - h))
             if rate <= floor:  # the other direction can only be lower
@@ -430,8 +423,6 @@ def _search(
                    and params.y0 != 0.0)
     if not 0.0 < n_total < math.inf:
         raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
-    if not 0.0 < mu < math.inf:
-        raise ValidationError(f"mu must be finite and > 0, got {mu}")
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 <= u_alpha < math.inf:

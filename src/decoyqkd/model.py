@@ -49,7 +49,7 @@ class ExperimentParams:
                 this package are per pulse)
     f_ec        error-correction inefficiency relative to the Shannon
                 limit, >= 1
-    wavelength  operating wavelength in nm, informational
+    wavelength  operating wavelength in nm, informational; None or > 0
     """
 
     alpha: float
@@ -73,6 +73,8 @@ class ExperimentParams:
             raise ValidationError(f"rep_rate must be finite and > 0, got {self.rep_rate}")
         if not 1.0 <= self.f_ec < math.inf:
             raise ValidationError(f"f_ec must be finite and >= 1, got {self.f_ec}")
+        if self.wavelength is not None and not 0.0 < self.wavelength < math.inf:
+            raise ValidationError(f"wavelength must be finite and > 0 nm, got {self.wavelength}")
 
 
 # Standard parameter sets from the experimental literature.
@@ -100,7 +102,7 @@ def load_params(path: str) -> ExperimentParams:
     """Read ExperimentParams from a flat key=value text file.
 
     Blank lines and lines starting with '#' are ignored.  Keys must match
-    the ExperimentParams field names; unknown keys are rejected.
+    the ExperimentParams field names; unknown and repeated keys are rejected.
     """
     keys = {f.name: f.default is MISSING for f in fields(ExperimentParams)}  # name: required
     values = {}
@@ -115,6 +117,8 @@ def load_params(path: str) -> ExperimentParams:
             key = key.strip()
             if key not in keys:
                 raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
+            if key in values:
+                raise ValidationError(f"{path}:{line_no}: repeated key {key!r}")
             try:
                 values[key] = float(text.strip())
             except ValueError:

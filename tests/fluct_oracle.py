@@ -5,7 +5,11 @@ float kernel (fluct._worst_case).  This module builds the same report the
 long way: shift the observations with perturb_observations, run the
 estimator on each, and turn each estimate into a key rate with
 rate_from_estimate, keeping the worse vacuum-gain direction.  The tests
-hold the kernel to it value for value and message for message.
+hold fluctuated_bounds to it value for value and message for message, and
+the kernel value for value on its domain.  The plain estimate and rate
+come before the shifted ones, so a bad intensity or an allocation with no
+signal pulses raises before a band with no expected events, as
+fluctuated_bounds' entry checks do.
 """
 
 from decoyqkd import fluct
@@ -28,6 +32,8 @@ def oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator="vacuum-
     q = alloc.q
     f_ec = params.f_ec
 
+    est_plain = row.estimate(obs, ints)
+    rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
     # the vacuum gain's worst direction differs for Y1 and e1: try both
     candidates = []
     for direction in (+1, -1) if use_vacuum else (+1,):
@@ -35,8 +41,6 @@ def oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator="vacuum-
         candidates.append((rate_from_estimate(obs, est, q, f_ec), est))
     rate_hat, est_hat = min(candidates, key=lambda c: c[0])
 
-    est_plain = row.estimate(obs, ints)
-    rate_plain = rate_from_estimate(obs, est_plain, q, f_ec)
     counts = {"q_nu1": alloc.n_decoy1 * obs.q_nu1,
               "e_nu1*q_nu1": alloc.n_decoy1 * obs.e_nu1 * obs.q_nu1}
     if use_vacuum:

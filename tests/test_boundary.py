@@ -55,7 +55,7 @@ def test_transmittance_rejects_or_returns_finite(length):
 
 @PROPERTY
 @given(
-    st.sampled_from(("alpha", "e_detector", "y0", "eta_bob", "rep_rate", "f_ec")),
+    st.sampled_from(("alpha", "e_detector", "y0", "eta_bob", "rep_rate", "f_ec", "wavelength")),
     ANY_FLOAT,
 )
 def test_experiment_params_reject_or_stay_finite(field, value):

@@ -296,6 +296,22 @@ def test_failed_command_leaves_existing_out_file_alone(tmp_path, capsys, argv):
     assert out_path.read_bytes() == b"l_km,rate_per_pulse\n0,1\n"
 
 
+def test_a_config_file_that_cannot_be_read_is_invalid_input(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run(capsys, "optimal-mu", "--config", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: --config {missing}: No such file or directory\n"
+
+
+def test_an_out_file_that_cannot_be_written_is_invalid_input(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "scan", "--estimator", "asymptotic", "--steps", "2",
+                         "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: --out {out_path}: No such file or directory\n"
+    assert not out_path.parent.exists()
+
+
 def test_fluct_optimize_rejects_a_budget_with_low_counts(capsys):
     code, out, err = run(capsys, "fluct-optimize", "--length", "40", "--n-pulses", "10")
     assert code == 2

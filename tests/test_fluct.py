@@ -133,6 +133,9 @@ def test_fluctuated_bounds_validation():
         fluctuated_bounds(GYS, ETA_40KM, INTENSITIES, alloc, estimator="two-decoy")
     with pytest.raises(ValidationError):
         fluctuated_bounds(GYS, ETA_40KM, (0.48, 0.12, 0.05), alloc)
+    # the intensities are checked on entry, before a band with no expected events
+    with pytest.raises(ValidationError, match=r"^need 0 < nu < mu, got mu=0.12, nu=0.48$"):
+        fluctuated_bounds(GYS, ETA_40KM, (0.12, 0.48, 0.0), make_alloc(w1=0.0))
 
 
 def test_fluctuated_bounds_against_inline_recomputation():

@@ -4,9 +4,10 @@ fluctuated_bounds and the allocation search both evaluate one fused float
 kernel (fluct._worst_case), and a reach probe stops at its first positive
 evaluation (fluct._search with probe=True).  Both must give exactly what the
 full computation gives: tests/fluct_oracle.py builds every intermediate
-object, and is the kernel's oracle.  The evaluation counts are
-deterministic, so they are pinned: a change to the search that moves
-them should say so.
+object, and is the oracle of fluctuated_bounds, message for message, and of
+the kernel on the domain it documents, which every search call keeps to.
+The evaluation counts are deterministic, so they are pinned: a change to
+the search that moves them should say so.
 """
 
 import dataclasses
@@ -69,6 +70,15 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def in_domain(mu, nu, q):
+    """Whether a kernel call at (mu, nu, q) lies in the domain fluct._worst_case documents."""
+    try:
+        fluct._check_one_decoy_intensities(mu, nu)  # 0 < nu < mu, mu in range, finite prefactor
+    except ValidationError:
+        return False
+    return 0.0 < q <= 1.0
+
+
 def report_and_oracle(*args):
     """outcome() of fluctuated_bounds(*args) and of the oracle's composition."""
     return outcome(lambda: fluctuated_bounds(*args)), outcome(lambda: oracle_fluctuated_bounds(*args))
@@ -113,16 +123,17 @@ def test_lean_objective_raises_where_fluctuated_bounds_does(estimator):
 
 
 def test_the_kernel_rejects_a_gain_above_one_where_the_model_does():
-    # y0 + 1 - e^(-eta x) > 1: at mu the kernel's set-up raises, and at a decoy
-    # intensity above mu each call, both with overall_gain's message
+    # y0 + 1 - e^(-eta x) > 1: at mu the kernel's set-up raises, and the report at a
+    # decoy intensity above mu, both with overall_gain's message
     bright = dataclasses.replace(GYS, y0=0.75)
     alloc = search_alloc(6.0e9, 0.3, 0.05, 10.0)
     for mu, nu in ((0.48, 0.12), (0.1, 2.0)):
         full, oracle = report_and_oracle(bright, 1.0, (mu, nu, 0.0), alloc, "vacuum-weak")
-        kernel = outcome(lambda: search_rate(bright, 1.0, "vacuum-weak", mu, 6.0e9, 10.0,
-                                             nu, 0.3, 0.05))
-        assert full == oracle == kernel
-        assert kernel[1].startswith("overall gain y0 + 1 - e^(-eta mu) = ")
+        assert full == oracle
+        assert full[1].startswith("overall gain y0 + 1 - e^(-eta mu) = ")
+        if nu < mu:  # a decoy above mu lies off the kernel's domain
+            assert outcome(lambda: search_rate(bright, 1.0, "vacuum-weak", mu, 6.0e9, 10.0,
+                                               nu, 0.3, 0.05)) == full
 
 
 # one search point per clamp of the kernel, each checked below to reach it
@@ -186,6 +197,9 @@ CLAMPS = {
          alloc_kind="search", pair=False)
 @example(preset="GYS", estimator="vacuum-weak", length=0.0, log_n=4.0, u_alpha=0.0,
          mu_choice="optimal", nu_frac=0.5, w1=0.5, w2_frac=1e-323, alloc_kind="search", pair=False)
+# nu >= mu and no weak-decoy pulses: the intensity error comes before the empty band's
+@example(preset="GYS", estimator="vacuum-weak", length=40.0, log_n=10.0, u_alpha=10.0,
+         mu_choice="optimal", nu_frac=1.5, w1=0.0, w2_frac=0.2, alloc_kind="user", pair=False)
 @example(**CLAMPS["q1 floored at 0"])
 @example(**CLAMPS["e1 capped at 1"])
 @example(**CLAMPS["vacuum band floored at 0"])
@@ -214,8 +228,10 @@ def test_objective_is_fluctuated_bounds_bit_for_bit(preset, estimator, length, l
     full, oracle = report_and_oracle(params, eta, intensities, alloc, estimator)
     # the same report, or the same exception with the same message
     assert full == oracle
-    if alloc_kind == "search" and nu >= 0.0 and mu > 0.0:
-        # the search's own call of the kernel, with nothing validated ahead of it
+    if (alloc_kind == "search" and fluct._NU_MIN < 0.999 * mu and in_domain(mu, nu, alloc.q)
+            and w1 > 0.0 and w2 >= 0.0 and w1 + w2 <= fluct._W_MAX):
+        # a point the search can send: mu passes _search's checks, and (nu, w1, w2) its
+        # evaluate's
         def oracle_rate():
             fb = oracle_fluctuated_bounds(params, eta, intensities, alloc, estimator)
             return fb.rate_lower, fb.y1_hat_lower, fb.e1_hat_upper
@@ -449,6 +465,31 @@ def test_warm_started_scan_pinned(monkeypatch):
         "key_bits=0.0, low_count_observables=())",
     ]
     assert (n, n_bounds) == (967, 4)
+
+
+def test_every_search_call_lies_in_the_kernel_domain(monkeypatch):
+    # the kernel checks nothing that _search or fluctuated_bounds' entry checks
+    # guarantee: table2, the pinned reaches and the pinned scan keep to its domain
+    calls = []
+    build = fluct._worst_case
+
+    def recorded_build(params, eta, mu):
+        kernel = build(params, eta, mu)
+
+        def recorded(nu, n1, n2, q, u_alpha, *floor):
+            calls.append((mu, nu, q))
+            return kernel(nu, n1, n2, q, u_alpha, *floor)
+
+        return recorded
+
+    monkeypatch.setattr(fluct, "_worst_case", recorded_build)
+    optimize_allocation(GYS, transmittance(GYS, 103.62).eta, GYS_MU, 6.0e9, u_alpha=10.0)
+    for params, mu, n_total, estimator, *_ in REACH_PINS:
+        max_distance_fluct(params, mu, n_total, estimator=estimator)
+    scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0])
+    # the pinned search evaluations, and two kernel calls per fluctuated_bounds call
+    assert len(calls) == 253 + 1607 + 644 + 1419 + 967 + 2 * (1 + 4)
+    assert [call for call in calls if not in_domain(*call)] == []
 
 
 def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):

@@ -116,6 +116,7 @@ def test_load_params_reads_every_field(tmp_path):
         ("alpha = 0.21\nloss = 3\n", "unknown key"),
         ("alpha = fast\n", "not a number"),
         ("alpha = 0.21\n", "missing required"),
+        ("alpha = 0.2\nalpha = 0.3\n", r"bad\.txt:2: repeated key 'alpha'"),
     ],
 )
 def test_load_params_rejects_malformed_files(tmp_path, body, message):
