@@ -206,11 +206,11 @@ def cmd_optimal_mu(args) -> None:
         return
     mu_ideal = rate_mod.optimal_mu(params, f_ec=1.0)
     mu_real = rate_mod.optimal_mu(params)
+    if args.length is not None:  # computed first, so a failure prints nothing
+        mu_exact = rate_mod.optimal_mu_exact(params, transmittance(params, args.length).eta)
     print(f"mu_optimal(f_ec=1.00) = {mu_ideal:.6f}")
     print(f"mu_optimal(f_ec={params.f_ec:.2f}) = {mu_real:.6f}")
     if args.length is not None:
-        eta = transmittance(params, args.length).eta
-        mu_exact = rate_mod.optimal_mu_exact(params, eta)
         print(f"mu_exact_rate({args.length:g} km) = {mu_exact:.6f}")
 
 

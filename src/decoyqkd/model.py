@@ -25,6 +25,7 @@ against it.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
@@ -106,25 +107,31 @@ def load_params(path: str) -> ExperimentParams:
     """
     keys = {f.name: f.default is MISSING for f in fields(ExperimentParams)}  # name: required
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in keys:
-                raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
-            if key in values:
-                raise ValidationError(f"{path}:{line_no}: repeated key {key!r}")
-            try:
-                values[key] = float(text.strip())
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{line_no}: value for {key!r} is not a number"
-                ) from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        body = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8 text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+    # StringIO(newline=None) splits lines as a text-mode open() would
+    for line_no, raw in enumerate(io.StringIO(body, newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValidationError(f"{path}:{line_no}: expected key=value, got {line!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ValidationError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in values:
+            raise ValidationError(f"{path}:{line_no}: repeated key {key!r}")
+        try:
+            values[key] = float(text.strip())
+        except ValueError:
+            raise ValidationError(f"{path}:{line_no}: value for {key!r} is not a number") from None
     missing = [k for k, required in keys.items() if required and k not in values]
     if missing:
         raise ValidationError(f"{path}: missing required keys {missing}")

@@ -169,8 +169,15 @@ def optimal_mu_exact(params: ExperimentParams, eta: float) -> float:
 
     Cross-check for optimal_mu: includes the background and the full
     gain/QBER expressions instead of the stationarity approximation.
+    Raises NoPositiveRateError when no mu in the bracket gives key.
     """
-    return maximize_scalar(lambda mu: asymptotic_rate(params, eta, mu), 0.01, 1.5, 1e-7, 1e-9).x
+    lo, hi = 0.01, 1.5
+    best = maximize_scalar(lambda mu: asymptotic_rate(params, eta, mu), lo, hi, 1e-7, 1e-9)
+    if not best.value > 0.0:
+        raise NoPositiveRateError(
+            f"no mu in [{lo}, {hi}] gives a positive asymptotic rate at eta={eta:.6e}"
+        )
+    return best.x
 
 
 def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) -> float:
@@ -182,7 +189,8 @@ def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) ->
     maximized; without one the secure distance is maximized instead.  That
     distance is found to a bisection tolerance, so it is piecewise constant
     in mu, and the answer is one point of its top plateau: which one
-    depends on the line search's steps, not on the model.
+    depends on the line search's steps, not on the model.  Raises
+    NoPositiveRateError when no mu in the bracket gives key.
     """
     if length_km is not None:
         eta = transmittance(params, length_km).eta
@@ -198,7 +206,12 @@ def optimal_mu_wang(params: ExperimentParams, length_km: float | None = None) ->
             )
             return -1.0 if d is None else d
 
-    return maximize_scalar(objective, 0.01, 0.99, 1e-6, 1e-9).x
+    lo, hi = 0.01, 0.99
+    best = maximize_scalar(objective, lo, hi, 1e-6, 1e-9)
+    if not best.value > 0.0:
+        where = "at any distance" if length_km is None else f"at {length_km:g} km"
+        raise NoPositiveRateError(f"no mu in [{lo}, {hi}] gives a positive weak-bound rate {where}")
+    return best.x
 
 
 # --- the estimator table -----------------------------------------------

@@ -60,6 +60,29 @@ def test_optimal_mu_wang_at_a_length(capsys):
     assert (code, out) == (0, "mu_wang (at 50 km) = 0.285600\n")
 
 
+def test_optimal_mu_where_no_intensity_gives_key_prints_nothing(tmp_path, capsys):
+    code, out, err = run(capsys, "optimal-mu", "--length", "200")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no mu in [0.01, 1.5] gives a positive asymptotic rate")
+    cfg = tmp_path / "noisy.txt"
+    cfg.write_text("alpha = 0.21\ne_detector = 0.1\ny0 = 1.7e-6\neta_bob = 0.045\n")
+    code, out, err = run(capsys, "optimal-mu", "--method", "wang", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: no mu in [0.01, 0.99] gives a positive weak-bound rate at any distance\n"
+
+
+@pytest.mark.parametrize("error, err", [
+    (BrokenPipeError(), ""),  # the reader went away: exit quietly
+    (ZeroDivisionError("boom"), "internal error: boom\n"),
+])
+def test_an_unexpected_error_exits_1_with_one_line(monkeypatch, capsys, error, err):
+    def fail(out):
+        raise error
+
+    monkeypatch.setitem(cli._REPRODUCE, "table2", fail)
+    assert run(capsys, "reproduce", "table2") == (1, "", err)
+
+
 def test_a_float_option_that_is_not_a_number_is_rejected(capsys):
     with pytest.raises(SystemExit) as exited:
         cli.main(["scan", "--l-max", "abc"])
@@ -215,15 +238,19 @@ def test_python_dash_m_runs_the_cli():
 IMPORT_GUARD = """
 import sys
 import decoyqkd
-from decoyqkd import bounds, cli
 
 def loaded(*names):
     return sorted(m for m in sys.modules if m.split(".")[0] in names)
 
+assert loaded("decoyqkd") == ["decoyqkd"] + [f"decoyqkd.{m}" for m in
+                                             ("bounds", "fluct", "model", "numerics", "rate")]
+assert loaded("scipy", "numpy") == [], loaded("scipy", "numpy")
+from decoyqkd import bounds, cli
+from decoyqkd.model import GYS, simulate_observations
 assert cli.main(["reproduce", "table2"]) == 0
 assert not hasattr(bounds, "no_such_name")
 assert loaded("scipy", "numpy") == [], loaded("scipy", "numpy")
-obs = decoyqkd.simulate_observations(decoyqkd.GYS, 1e-3, (0.48, 0.12, 0.0))
+obs = simulate_observations(GYS, 1e-3, (0.48, 0.12, 0.0))
 assert bounds.adversary_oracle(obs, bounds.ProtocolIntensities(mu=0.48, nu1=0.12)).feasible
 assert "scipy.optimize" in sys.modules
 """
@@ -301,6 +328,14 @@ def test_a_config_file_that_cannot_be_read_is_invalid_input(tmp_path, capsys):
     code, out, err = run(capsys, "optimal-mu", "--config", str(missing))
     assert (code, out) == (2, "")
     assert err == f"error: --config {missing}: No such file or directory\n"
+
+
+def test_a_config_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
+    cfg = tmp_path / "latin1.txt"
+    cfg.write_bytes(b"alpha = 0.2\xff\n")
+    code, out, err = run(capsys, "optimal-mu", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: not UTF-8 text: byte 0xff at offset 11\n"
 
 
 def test_an_out_file_that_cannot_be_written_is_invalid_input(tmp_path, capsys):

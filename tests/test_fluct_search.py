@@ -136,6 +136,15 @@ def test_the_kernel_rejects_a_gain_above_one_where_the_model_does():
                                                nu, 0.3, 0.05)) == full
 
 
+def test_the_kernel_rejects_a_zero_gain_rather_than_dividing_by_it():
+    # with no background and eta = 1e-323, eta * nu underflows to 0 at a small decoy,
+    # whose gain is then exactly 0: the kernel raises the model's message instead of
+    # dividing by it
+    with pytest.raises(ValidationError) as raised:
+        optimize_allocation(dataclasses.replace(GYS, y0=0.0), 1e-323, 0.5, 6.0e9)
+    assert str(raised.value) == "QBER undefined: overall gain is zero"
+
+
 # one search point per clamp of the kernel, each checked below to reach it
 CLAMPS = {
     "q1 floored at 0": dict(

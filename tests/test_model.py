@@ -117,11 +117,12 @@ def test_load_params_reads_every_field(tmp_path):
         ("alpha = fast\n", "not a number"),
         ("alpha = 0.21\n", "missing required"),
         ("alpha = 0.2\nalpha = 0.3\n", r"bad\.txt:2: repeated key 'alpha'"),
+        (b"alpha = 0.2\xff\n", r"bad\.txt: not UTF-8 text: byte 0xff at offset 11"),
     ],
 )
 def test_load_params_rejects_malformed_files(tmp_path, body, message):
     cfg = tmp_path / "bad.txt"
-    cfg.write_text(body)
+    cfg.write_bytes(body if isinstance(body, bytes) else body.encode())
     with pytest.raises(ValidationError, match=message):
         load_params(str(cfg))
 

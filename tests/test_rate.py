@@ -164,6 +164,24 @@ def test_optimal_mu_exact_agrees_with_stationarity():
     assert mu_exact == pytest.approx(optimal_mu(GYS), abs=0.01)
 
 
+def test_an_intensity_search_that_finds_no_key_raises():
+    # the best value is not > 0: a bracket edge, or on a flat objective the
+    # bracket midpoint, would otherwise be returned as the optimum
+    with pytest.raises(NoPositiveRateError, match=r"no mu in \[0.01, 1.5\] .* at eta="):
+        optimal_mu_exact(GYS, transmittance(GYS, 200.0).eta)
+    with pytest.raises(NoPositiveRateError, match=r"no mu in \[0.01, 0.99\] .* at 150 km"):
+        optimal_mu_wang(GYS, length_km=150.0)
+    noisy = dataclasses.replace(GYS, e_detector=0.1)
+    with pytest.raises(NoPositiveRateError, match=r"no mu in \[0.01, 0.99\] .* at any distance"):
+        optimal_mu_wang(noisy)
+
+
+def test_asymptotic_rate_on_a_dark_link_without_background_is_rejected():
+    # y0 = 0 and eta = 0: no single photon is ever detected
+    with pytest.raises(ValidationError, match=r"asymptotic bounds undefined: y0 \+ eta is zero"):
+        asymptotic_rate(dataclasses.replace(GYS, y0=0.0), 0.0, 0.5)
+
+
 def test_vacuum_weak_rate_frozen_value():
     rate = vacuum_weak_rate(GYS, ETA_40KM, mu=0.48, nu=0.12)
     assert rate == pytest.approx(0.00031167219820222246, rel=1e-12)

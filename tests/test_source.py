@@ -33,8 +33,6 @@ def references(tree, skip=None):
 def test_every_module_level_import_is_used():
     unused = []
     for name, tree in MODULES.items():
-        if name == "__init__.py":  # its imports are the package's re-exports
-            continue
         lines = (SRC / name).read_text(encoding="utf-8").splitlines()
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
