@@ -284,9 +284,10 @@ def cmd_scan(args) -> None:
         )
         rows = []
         for p in points:
-            _require_counts(args.n_pulses, p.low_count_observables, p.length_km)
-            # where no allocation gives a positive rate, none is an optimum
-            alloc = (p.nu, p.n_signal, p.n_decoy1, p.n_decoy2) if p.rate_lower > 0.0 else ("",) * 4
+            positive = p.rate_lower > 0.0  # elsewhere no allocation is an optimum to check or print
+            if positive:
+                _require_counts(args.n_pulses, p.low_count_observables, p.length_km)
+            alloc = (p.nu, p.n_signal, p.n_decoy1, p.n_decoy2) if positive else ("",) * 4
             rows.append((p.length_km, p.rate_lower, *alloc, p.key_bits))
         with _csv_out(args.out) as w:
             _emit(w, ("l_km", "R_L", "nu_opt", "NS", "N1", "N2", "B_bits"), rows)
@@ -323,11 +324,11 @@ def cmd_fluct_optimize(args) -> None:
         params, eta, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator
     )
     alloc, fb = res.alloc, res.result
-    _require_counts(args.n_pulses, fb.low_count_observables, args.length)
     if not fb.rate_lower > 0.0:
         raise ValidationError(
             f"no allocation gives a positive key rate at --length {args.length:g} km"
         )
+    _require_counts(args.n_pulses, fb.low_count_observables, args.length)
     print(f"l_km = {args.length:.2f}")
     print(f"mu = {mu:.6f}")
     print(f"eta = {eta:.6e}")

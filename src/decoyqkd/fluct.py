@@ -363,8 +363,7 @@ _DEFAULT_SEEDS = (
 )
 _NU_MIN = 1e-3  # the decoy intensity search runs over [_NU_MIN, 0.999 mu]
 _W_MAX = 0.98  # keep at least 2% of pulses on the signal
-_REL_TOL = 1e-4  # coordinate descent stops on a smaller relative gain per cycle
-_WARM_REL_TOL = 1e-6  # the same for a scan's one descent from the last optimum
+_REL_TOL = 3e-5  # every coordinate descent stops on a smaller relative gain per cycle
 _MAX_CYCLES = 12
 
 
@@ -386,10 +385,10 @@ def optimize_allocation(
     intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, restarted
     from each of _DEFAULT_SEEDS; for vacuum+weak the w2 = 0 corner (which
     degrades to the one-decoy analysis) is then optimized once, from the
-    best point found with w2 free, and kept when it wins.  Each descent
-    stops once a cycle gains less than _REL_TOL relative, or after
-    _MAX_CYCLES cycles.  scan_distance_fluct runs this search at its first
-    length only, and continues from its optimum after that.
+    best point found with w2 free, and kept when it wins.  Every descent,
+    a scan's from its last optimum too, stops once a cycle gains less than
+    _REL_TOL relative, or after _MAX_CYCLES cycles.  scan_distance_fluct
+    runs this search at its first length only, then continues from it.
     """
     point = _search(params, eta, mu, n_total, u_alpha, estimator)
     return _report(params, eta, mu, n_total, u_alpha, estimator, point)
@@ -415,8 +414,8 @@ def _search(
     evaluation had data, the search raises what fluctuated_bounds raises
     at its best point, in either mode.
 
-    A ``warm`` point is descended from alone, to a gain per cycle below
-    _WARM_REL_TOL, and _DEFAULT_SEEDS run only if it finds no positive rate.
+    A ``warm`` point is descended from alone, and _DEFAULT_SEEDS run only
+    if it finds no positive rate.
     """
     # with no background the vacuum decoy measures nothing: one-decoy alone
     with_vacuum = (get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK
@@ -450,8 +449,8 @@ def _search(
             raise _PositiveRate
         return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
-    def refine(seed: Tuple[float, float, float], free_w2: bool,
-               rel_tol: float = _REL_TOL) -> Tuple[float, Tuple[float, float, float]]:
+    def refine(seed: Tuple[float, float, float],
+               free_w2: bool) -> Tuple[float, Tuple[float, float, float]]:
         nu, w1, w2 = seed
         if not free_w2:
             w2 = 0.0
@@ -473,13 +472,11 @@ def _search(
                 )
                 if res.value > best:
                     w2, best = res.x, res.value
-            if best <= 0.0:
-                break
-            if prev > 0.0 and (best - prev) <= rel_tol * prev:
+            if best <= 0.0 or (prev > 0.0 and best - prev <= _REL_TOL * prev):
                 break
         return best, (nu, w1, w2)
 
-    candidates = [] if warm is None else [refine(warm, with_vacuum, _WARM_REL_TOL)]
+    candidates = [] if warm is None else [refine(warm, with_vacuum)]
     if not candidates or candidates[0][0] <= 0.0:
         candidates += [refine(seed, free_w2=with_vacuum) for seed in _DEFAULT_SEEDS]
     if with_vacuum:
@@ -529,9 +526,9 @@ def scan_distance_fluct(
 
     The first length runs optimize_allocation's search.  The optimum moves
     little from one length to the next, so each later one descends from
-    the last optimum alone (see _search's ``warm``), then refines the
-    w2 = 0 corner; past the reach that descent finds no positive rate,
-    and the default seeds run too.
+    the last optimum alone (see _search's ``warm``) and stops on the same
+    _REL_TOL, then refines the w2 = 0 corner; past the reach that descent
+    finds no positive rate, and the default seeds run too.
     """
     points: List[ScanPoint] = []
     warm: Optional[Tuple[float, float, float]] = None

@@ -348,20 +348,53 @@ def test_an_out_file_that_cannot_be_written_is_invalid_input(tmp_path, capsys):
 
 
 def test_fluct_optimize_rejects_a_budget_with_low_counts(capsys):
-    code, out, err = run(capsys, "fluct-optimize", "--length", "40", "--n-pulses", "10")
+    # a positive optimum (R_L 1.48e-4) whose e_nu1*q_nu1 band has under 50 events
+    code, out, err = run(capsys, "fluct-optimize", "--length", "20", "--n-pulses", "1e6",
+                         "--u-alpha", "3")
     assert code == 2
     assert "--n-pulses" in err
+    assert out == ""
+
+
+def test_fluct_optimize_where_no_allocation_gives_key_names_the_length(capsys):
+    # every evaluation is 0 or -1 at this budget: the point reported is no
+    # optimum, so its low counts are not what stops the command
+    code, out, err = run(capsys, "fluct-optimize", "--length", "40", "--n-pulses", "10")
+    assert code == 2
+    assert "no allocation gives a positive key rate at --length 40 km" in err
     assert out == ""
 
 
 def test_scan_rejects_a_budget_with_low_counts(capsys):
-    # every evaluation is 0 or -1 at this budget, so the search would
-    # report its first seed as the optimum at every length
-    code, out, err = run(capsys, "scan", "--n-pulses", "1e4", "--steps", "3", "--l-max", "40")
+    # each length has a positive optimum whose e_nu1*q_nu1 band has under 50 events
+    code, out, err = run(capsys, "scan", "--n-pulses", "1e6", "--u-alpha", "3",
+                         "--steps", "3", "--l-max", "40")
     assert code == 2
     assert "--n-pulses" in err
     assert "at 0 km" in err
     assert out == ""
+
+
+def test_scan_checks_counts_only_where_the_rate_is_positive(capsys):
+    # past the 70.80 km reach a row reports the last optimum, which is no
+    # optimum there; its low counts must not fail the scan
+    code, out, err = run(capsys, "scan", "--n-pulses", "5e7", "--l-max", "160", "--steps", "9")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert [row[0] for row in rows] == [str(km) for km in range(0, 161, 20)]
+    for row in rows:
+        positive = float(row[1]) > 0.0
+        assert positive == (int(row[0]) < 80)
+        assert (row[2:6] == [""] * 4) != positive
+    assert lines[-1] == "max_distance_km = 70.80"
+
+
+def test_scan_where_no_allocation_gives_key_prints_no_reach(capsys):
+    code, out, err = run(capsys, "scan", "--n-pulses", "1e4", "--steps", "3", "--l-max", "40")
+    assert (code, err) == (0, "")
+    assert [line.split(",")[2:6] for line in out.splitlines()[1:-1]] == [[""] * 4] * 3
+    assert out.splitlines()[-1] == "max_distance_km = none (rate never positive)"
 
 
 @pytest.mark.parametrize("argv, message", [

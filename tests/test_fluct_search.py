@@ -456,7 +456,9 @@ def test_warm_started_scan_pinned(monkeypatch):
     # instead of three cut them to 1,508 and moved R_L at 20 km from
     # 0.0007615513059530284.  Brent steps in the line searches cut them to 967
     # and moved every point, e.g. R_L at 20 km from 0.0007615513055773012 and at
-    # 100 km from 5.786930988631158e-06
+    # 100 km from 5.786930988631158e-06.  One descent tolerance, 3e-5 where the
+    # descent from the last optimum stopped at 1e-6, cut them to 931 and moved
+    # R_L at 100 km from 5.786930988092023e-06
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
     assert [repr(p) for p in points] == [
@@ -466,14 +468,14 @@ def test_warm_started_scan_pinned(monkeypatch):
         "ScanPoint(length_km=60.0, rate_lower=8.692657945070193e-05, nu=0.07544651267590809, "
         "n_signal=5377407092.782934, n_decoy1=622592907.2170655, n_decoy2=0.0, "
         "key_bits=521559.47670421156, low_count_observables=())",
-        "ScanPoint(length_km=100.0, rate_lower=5.786930988092023e-06, nu=0.11631335550997936, "
-        "n_signal=4351139486.7457485, n_decoy1=1412282205.1502137, n_decoy2=236578308.10403872, "
-        "key_bits=34721.58592855214, low_count_observables=())",
-        "ScanPoint(length_km=125.0, rate_lower=-1.1440927105308e-06, nu=0.11631335550997936, "
-        "n_signal=4351139486.7457485, n_decoy1=1412282205.1502137, n_decoy2=236578308.10403872, "
+        "ScanPoint(length_km=100.0, rate_lower=5.786930827031694e-06, nu=0.11631484142355293, "
+        "n_signal=4350766244.986789, n_decoy1=1412681438.6713376, n_decoy2=236552316.3418744, "
+        "key_bits=34721.584962190165, low_count_observables=())",
+        "ScanPoint(length_km=125.0, rate_lower=-1.143712969078591e-06, nu=0.11631484142355293, "
+        "n_signal=4350766244.986789, n_decoy1=1412681438.6713376, n_decoy2=236552316.3418744, "
         "key_bits=0.0, low_count_observables=())",
     ]
-    assert (n, n_bounds) == (967, 4)
+    assert (n, n_bounds) == (931, 4)
 
 
 def test_every_search_call_lies_in_the_kernel_domain(monkeypatch):
@@ -497,7 +499,7 @@ def test_every_search_call_lies_in_the_kernel_domain(monkeypatch):
         max_distance_fluct(params, mu, n_total, estimator=estimator)
     scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0])
     # the pinned search evaluations, and two kernel calls per fluctuated_bounds call
-    assert len(calls) == 253 + 1607 + 644 + 1419 + 967 + 2 * (1 + 4)
+    assert len(calls) == 253 + 1607 + 644 + 1419 + 931 + 2 * (1 + 4)
     assert [call for call in calls if not in_domain(*call)] == []
 
 
@@ -618,11 +620,13 @@ def test_fluctuated_bounds_on_a_link_with_no_background_is_one_decoy():
 
 
 def test_a_link_with_no_background_runs_the_one_decoy_analysis():
-    # with y0 = 0 the vacuum decoy records nothing, so vacuum+weak is one-decoy
+    # with y0 = 0 the vacuum decoy records nothing, so vacuum+weak is one-decoy;
+    # R_L was 1.5917159522453402e-4 at nu 0.05077663986346922 before one descent
+    # tolerance, 3e-5 where a cold search stopped at 1e-4
     params = dataclasses.replace(GYS, y0=0.0)
     eta = transmittance(params, 50.0).eta
     for estimator in ("vacuum-weak", "one-decoy"):
         res = optimize_allocation(params, eta, 0.5, 6.0e9, estimator=estimator)
         assert (res.result.rate_lower, res.nu, res.alloc.n_decoy2) == (
-            1.5917159522453402e-4, 0.05077663986346922, 0.0)
+            1.591716203594125e-4, 0.0508523452661398, 0.0)
         assert max_distance_fluct(params, 0.5, 6.0e9, estimator=estimator) == 172.453125

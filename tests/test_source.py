@@ -1,8 +1,8 @@
 """Static checks over the package source, with the standard library's ast.
 
 No linter ships with the project, so two of its checks live here: every
-module-level import is used, and every top-level private function or
-class has a reader in the package besides its own definition.
+module-level import is used, and every top-level private function, class
+or assigned name has a reader in the package besides its own definition.
 """
 
 import ast
@@ -17,13 +17,16 @@ NOQA_UNUSED = "# noqa: F401"
 
 
 def references(tree, skip=None):
-    """Names read in ``tree``: bare names, attributes and from-imports, outside the def ``skip``."""
+    """Names read in ``tree``: bare names, attributes and from-imports, outside the def ``skip``.
+
+    A name that is only assigned to is not read.
+    """
     body = [node for node in tree.body if getattr(node, "name", None) != skip]
     names = set()
     for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
@@ -46,16 +49,31 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def private_top_level_names(tree):
+    """(line, name) of each private def, class and assigned name at a module's top level.
+
+    Dunders such as __getattr__ or __version__ are module hooks and metadata, not private.
+    """
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        for bound in names:
+            if bound.startswith("_") and not bound.startswith("__"):
+                yield node.lineno, bound
+
+
 def test_every_private_top_level_def_has_a_reader():
     orphans = []
     for name, tree in MODULES.items():
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_"):
-                continue
-            if node.name.startswith("__"):  # module hooks such as __getattr__
-                continue
+        for lineno, bound in private_top_level_names(tree):
             readers = [other for other, other_tree in MODULES.items()
-                       if node.name in references(other_tree, node.name if other == name else None)]
+                       if bound in references(other_tree, bound if other == name else None)]
             if not readers:
-                orphans.append(f"{name}:{node.lineno} {node.name}")
+                orphans.append(f"{name}:{lineno} {bound}")
     assert orphans == []
