@@ -268,6 +268,7 @@ def cmd_scan(args) -> None:
     finite = args.n_pulses is not None
     if finite:
         _reject_unread(args, ("nu1", "nu2", "efficient_bb84"), "scan --n-pulses")
+        u_alpha = _band_width(getattr(args, "u_alpha", 10.0))
     else:
         _reject_unread(args, ("u_alpha",), "scan without --n-pulses")
     # an estimator reads the decoy intensities its row observes
@@ -278,7 +279,6 @@ def cmd_scan(args) -> None:
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
     grid = _grid(args.l_min, args.l_max, args.steps)
     if finite:
-        u_alpha = getattr(args, "u_alpha", 10.0)
         points = fluct_mod.scan_distance_fluct(
             params, mu, args.n_pulses, grid, u_alpha=u_alpha, estimator=args.estimator
         )
@@ -305,6 +305,16 @@ def cmd_scan(args) -> None:
     _print_reach("max_distance_km", rate_mod.max_secure_distance(fn))
 
 
+def _band_width(u_alpha: float) -> float:
+    """``u_alpha``, rejected unless > 0: with no band the search only shrinks the decoys."""
+    if not u_alpha > 0.0:
+        raise ValidationError(
+            f"--u-alpha must be > 0, got {u_alpha:g}; without a confidence band no allocation "
+            "is an optimum, and scan without --n-pulses gives the noiseless rate"
+        )
+    return u_alpha
+
+
 def _require_counts(n_pulses: float, low_count_observables: Sequence[str],
                     length_km: float) -> None:
     """Reject an optimum whose confidence bands rest on too few expected events."""
@@ -317,11 +327,12 @@ def _require_counts(n_pulses: float, low_count_observables: Sequence[str],
 
 
 def cmd_fluct_optimize(args) -> None:
+    u_alpha = _band_width(args.u_alpha)
     params = _params_from(args)
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
     eta = transmittance(params, args.length).eta
     res = fluct_mod.optimize_allocation(
-        params, eta, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator
+        params, eta, mu, args.n_pulses, u_alpha=u_alpha, estimator=args.estimator
     )
     alloc, fb = res.alloc, res.result
     if not fb.rate_lower > 0.0:

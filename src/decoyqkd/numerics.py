@@ -5,8 +5,8 @@ one-dimensional (or reducible to coordinate-wise line searches), and
 smooth where it is not flat, so one line search and bisection are used
 throughout.  The line search is golden section while its two interior
 probes tie (a reach probe's clamped objective is 0 until its first
-positive rate) and Brent's method once they differ.  No derivatives are
-required anywhere.
+positive rate), for at most eight steps, and Brent's method once they
+differ.  No derivatives are required anywhere.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from typing import Callable, Optional
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))  # 1 - _INV_GOLDEN, Brent's golden-section step
 _MAX_ITER = 200
+_FLAT_STEPS = 8  # golden steps of tied probes before a line search calls f flat
 
 
 @dataclass(frozen=True)
@@ -39,16 +40,18 @@ def maximize_scalar(
 ) -> MaximizeResult:
     """Maximum of ``f`` on [lo, hi]: golden section while ``f`` looks flat, then Brent.
 
-    Golden-section steps run for as long as the two interior probes tie
-    (each step replaces one of them, so every earlier probe tied too).  At
-    the first pair that does not tie the bracket shrinks by that
-    comparison, and Brent's method (Brent 1973, ch. 5; scipy's fminbound
-    loop, written for a maximum) continues from the larger point, or from
-    the number where the other is NaN, so a NaN is never the incumbent: a
-    parabolic step through the three best points, or a golden-section
-    step where the parabola is not trusted.  The search stops once its
-    bracket [a, b] is no wider than ``abs_tol + rel_tol * max(|a|, |b|)``,
-    or after 200 steps.  A search whose probes tied throughout returns
+    Golden-section steps run while the two interior probes tie (each step
+    replaces one of them, so every earlier probe tied too), at most 8 of
+    them: a tie keeps the left part of the bracket, so more would only
+    walk toward ``lo``.  At the first pair that does not tie the bracket
+    shrinks by that comparison, and Brent's method (Brent 1973, ch. 5;
+    scipy's fminbound loop, written for a maximum) continues from the
+    larger point, or from the number where the other is NaN, so a NaN is
+    never the incumbent: a parabolic step through the three best points,
+    or a golden-section step where the parabola is not trusted.  The
+    search stops once its bracket [a, b] is no wider than
+    ``abs_tol + rel_tol * max(|a|, |b|)``, or after 200 steps.  A search
+    whose probes tied throughout, to that width or for 8 steps, returns
     the bracket midpoint, unconverged.
     Needs -inf < lo < hi < inf and finite tolerances > 0 (else ValueError).
     """
@@ -66,7 +69,7 @@ def maximize_scalar(
     steps = 0
     while fc == fd:
         # max(abs(a), abs(b)) is max(-a, b), since every step keeps a <= b
-        if steps == _MAX_ITER or (b - a) <= abs_tol + rel_tol * (-a if -a > b else b):
+        if steps == _FLAT_STEPS or (b - a) <= abs_tol + rel_tol * (-a if -a > b else b):
             # objective indistinguishable from a constant over every probe
             mid = 0.5 * (lo + hi)
             return MaximizeResult(x=mid, value=f(mid), converged=False)

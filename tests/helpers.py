@@ -34,15 +34,15 @@ def flat_golden_section_probes(lo: float, hi: float, abs_tol: float, rel_tol: fl
     """The points a golden-section search for a maximum probes on a constant, in order.
 
     Each tie keeps the left part [a, d] of the bracket; the search stops
-    once b - a <= abs_tol + rel_tol * max(|a|, |b|), or after 200 steps,
-    and then evaluates the midpoint of [lo, hi], its answer for a flat
-    objective.
+    once b - a <= abs_tol + rel_tol * max(|a|, |b|), or after 8 tied
+    steps, and then evaluates the midpoint of [lo, hi], its answer for a
+    flat objective.
     """
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - g * (b - a), a + g * (b - a)
     probes = [c, d]
-    for _ in range(200):
+    for _ in range(8):
         if b - a <= abs_tol + rel_tol * max(abs(a), abs(b)):
             break
         b, d = d, c

@@ -302,6 +302,7 @@ def test_reproduce_rejects_unknown_target(capsys):
 FAILING_OUT_COMMANDS = [
     ("scan", "--mu", "0.48", "--nu1", "0.6"),
     ("scan", "--n-pulses", "6e9", "--u-alpha", "-1", "--steps", "2"),
+    ("scan", "--n-pulses", "6e9", "--u-alpha", "0", "--steps", "3", "--l-max", "100"),
 ]
 
 
@@ -354,6 +355,25 @@ def test_fluct_optimize_rejects_a_budget_with_low_counts(capsys):
     assert code == 2
     assert "--n-pulses" in err
     assert out == ""
+
+
+def never_searched(*args, **kwargs):
+    raise AssertionError("the allocation search ran")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fluct-optimize", "--length", "50", "--u-alpha", "0"),
+    ("scan", "--n-pulses", "6e9", "--u-alpha", "0", "--steps", "3", "--l-max", "100"),
+])
+def test_a_band_of_zero_sigma_is_rejected_before_any_search(monkeypatch, capsys, argv):
+    # without a band the search only shrinks the decoy pulses, to the box's corner
+    # at any budget, and the count check would blame a band that is turned off
+    monkeypatch.setattr(cli.fluct_mod, "_search", never_searched)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: --u-alpha must be > 0, got 0; without a confidence band no "
+                   "allocation is an optimum, and scan without --n-pulses gives the noiseless "
+                   "rate\n")
 
 
 def test_fluct_optimize_where_no_allocation_gives_key_names_the_length(capsys):

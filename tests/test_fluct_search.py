@@ -17,8 +17,9 @@ import pytest
 from fluct_oracle import oracle_fluctuated_bounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_search_relations import sample
 
-from decoyqkd import fluct
+from decoyqkd import fluct, numerics
 from decoyqkd.fluct import (
     AllocationResult,
     DataAllocation,
@@ -30,7 +31,7 @@ from decoyqkd.fluct import (
     scan_distance_fluct,
 )
 from decoyqkd.model import GYS, KTH, ValidationError, simulate_observations, transmittance
-from decoyqkd.rate import ESTIMATORS, VACUUM_WEAK, get_estimator, optimal_mu
+from decoyqkd.rate import ESTIMATORS, VACUUM_WEAK, get_estimator, optimal_mu, optimal_mu_wang
 
 GYS_MU = optimal_mu(GYS)
 KTH_MU = optimal_mu(KTH)
@@ -421,12 +422,18 @@ def count_calls(monkeypatch, fn):
 # search and each probe started at the last positive point; (7 / 5 / 6)
 # fluctuated_bounds calls, one per negative probe, before a probe read its
 # sign from the search alone; (2,209 / 975 / 2,045) before the probes
-# started afresh at each length from two default seeds, not three
+# started afresh at each length from two default seeds, not three;
+# (1,607 / 644 / 1,419) before a flat line search stopped after 8 tied steps
 REACH_PINS = [
-    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 1607, 0),
-    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 644, 0),
-    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 1419, 0),
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 694, 0),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 289, 0),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 609, 0),
 ]
+# (search evaluations, fluctuated_bounds calls) of table2's optimization and
+# of the pinned scan over SCAN_LENGTHS
+TABLE2_COUNTS = (253, 1)
+SCAN_LENGTHS = [20.0, 60.0, 100.0, 125.0]
+SCAN_COUNTS = (760, 4)
 
 
 def test_reach_evaluation_count(monkeypatch):
@@ -445,7 +452,7 @@ def test_table2_evaluation_count(monkeypatch):
         monkeypatch, lambda: optimize_allocation(GYS, eta, GYS_MU, 6.0e9, u_alpha=10.0)
     )
     assert f"{res.nu:.4f}" == "0.1206"
-    assert (n, n_bounds) == (253, 1)
+    assert (n, n_bounds) == TABLE2_COUNTS
 
 
 def test_warm_started_scan_pinned(monkeypatch):
@@ -458,9 +465,10 @@ def test_warm_started_scan_pinned(monkeypatch):
     # and moved every point, e.g. R_L at 20 km from 0.0007615513055773012 and at
     # 100 km from 5.786930988631158e-06.  One descent tolerance, 3e-5 where the
     # descent from the last optimum stopped at 1e-6, cut them to 931 and moved
-    # R_L at 100 km from 5.786930988092023e-06
+    # R_L at 100 km from 5.786930988092023e-06.  A flat line search that stops
+    # after 8 tied steps cut them to 760 and moved no point
     points, n, n_bounds = count_calls(
-        monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0]))
+        monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, SCAN_LENGTHS))
     assert [repr(p) for p in points] == [
         "ScanPoint(length_km=20.0, rate_lower=0.0007615513059165533, nu=0.044179725170845015, "
         "n_signal=5657264551.215136, n_decoy1=342735448.7848642, n_decoy2=0.0, "
@@ -475,7 +483,7 @@ def test_warm_started_scan_pinned(monkeypatch):
         "n_signal=4350766244.986789, n_decoy1=1412681438.6713376, n_decoy2=236552316.3418744, "
         "key_bits=0.0, low_count_observables=())",
     ]
-    assert (n, n_bounds) == (931, 4)
+    assert (n, n_bounds) == SCAN_COUNTS
 
 
 def test_every_search_call_lies_in_the_kernel_domain(monkeypatch):
@@ -497,10 +505,39 @@ def test_every_search_call_lies_in_the_kernel_domain(monkeypatch):
     optimize_allocation(GYS, transmittance(GYS, 103.62).eta, GYS_MU, 6.0e9, u_alpha=10.0)
     for params, mu, n_total, estimator, *_ in REACH_PINS:
         max_distance_fluct(params, mu, n_total, estimator=estimator)
-    scan_distance_fluct(GYS, GYS_MU, 6.0e9, [20.0, 60.0, 100.0, 125.0])
+    scan_distance_fluct(GYS, GYS_MU, 6.0e9, SCAN_LENGTHS)
     # the pinned search evaluations, and two kernel calls per fluctuated_bounds call
-    assert len(calls) == 253 + 1607 + 644 + 1419 + 931 + 2 * (1 + 4)
+    pinned = [TABLE2_COUNTS, SCAN_COUNTS] + [(n, n_bounds) for *_, n, n_bounds in REACH_PINS]
+    assert len(calls) == sum(n + 2 * n_bounds for n, n_bounds in pinned)
     assert [call for call in calls if not in_domain(*call)] == []
+
+
+def answers(draws):
+    """repr of the pinned reaches, probe signs, scan and table2 optimum, of optimal_mu_wang,
+    and of the reach and the optimum at each (preset, estimator, N, u_alpha, L) draw."""
+    found = [max_distance_fluct(params, mu, n_total, estimator=estimator)
+             for params, mu, n_total, estimator, *_ in REACH_PINS]
+    found += [probe(params, transmittance(params, length).eta, mu, n_total, estimator)
+              for params, mu, n_total, estimator, length, _ in SIGN_CASES]
+    found.append(scan_distance_fluct(GYS, GYS_MU, 6.0e9, SCAN_LENGTHS))
+    found.append(optimize_allocation(GYS, transmittance(GYS, 103.62).eta, GYS_MU, 6.0e9))
+    # at 150 km no mu gives a positive weak-bound rate: the answer is that error
+    found += [outcome(lambda: optimal_mu_wang(GYS, length))
+              for length in (None, 50.0, 100.0, 150.0)]
+    for preset, estimator, n_total, u_alpha, length in draws:
+        params, mu = {"GYS": (GYS, GYS_MU), "KTH": (KTH, KTH_MU)}[preset]
+        found.append(max_distance_fluct(params, mu, n_total, u_alpha, estimator))
+        found.append(optimize_allocation(params, transmittance(params, length).eta, mu, n_total,
+                                         u_alpha, estimator))
+    return repr(found)
+
+
+def test_stopping_a_flat_line_search_after_8_steps_changes_no_answer(monkeypatch):
+    # _FLAT_STEPS = _MAX_ITER is the walk to the tolerance that the cap replaced
+    draws = sample()[:20]
+    capped = answers(draws)
+    monkeypatch.setattr(numerics, "_FLAT_STEPS", numerics._MAX_ITER)
+    assert answers(draws) == capped
 
 
 def kernel_grid_best(params, eta, mu, n_total, estimator, size=16):
