@@ -22,6 +22,7 @@ analysis alone: its vacuum decoy would record no events.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -363,6 +364,8 @@ _DEFAULT_SEEDS = (
 )
 _NU_MIN = 1e-3  # the decoy intensity search runs over [_NU_MIN, 0.999 mu]
 _W_MAX = 0.98  # keep at least 2% of pulses on the signal
+# each line search stops on a bracket [a, b] no wider than abs + rel * max(|a|, |b|)
+_LINE_ABS_TOL, _LINE_REL_TOL = 1e-5, 1e-6
 _REL_TOL = 3e-5  # every coordinate descent stops on a smaller relative gain per cycle
 _MAX_CYCLES = 12
 
@@ -382,13 +385,16 @@ def optimize_allocation(
     """Maximize the worst-case key yield over (nu, decoy fractions).
 
     Coordinate descent with maximize_scalar's line searches on the decoy
-    intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, restarted
-    from each of _DEFAULT_SEEDS; for vacuum+weak the w2 = 0 corner (which
-    degrades to the one-decoy analysis) is then optimized once, from the
-    best point found with w2 free, and kept when it wins.  Every descent,
-    a scan's from its last optimum too, stops once a cycle gains less than
-    _REL_TOL relative, or after _MAX_CYCLES cycles.  scan_distance_fluct
-    runs this search at its first length only, then continues from it.
+    intensity nu and the pulse fractions w1 = N1/N, w2 = N2/N, each line
+    search handed the current point and value as its incumbent.  The
+    descent starts from each of _DEFAULT_SEEDS in turn and stops at the
+    first whose best rate is positive; for vacuum+weak the w2 = 0 corner
+    (which degrades to the one-decoy analysis) is then optimized once, from
+    the best point found with w2 free, and kept when it wins.  Every
+    descent, a scan's from its last optimum too, stops once a cycle gains
+    less than _REL_TOL relative, or after _MAX_CYCLES cycles.
+    scan_distance_fluct runs this search at its first length only, then
+    continues from it.
     """
     point = _search(params, eta, mu, n_total, u_alpha, estimator)
     return _report(params, eta, mu, n_total, u_alpha, estimator, point)
@@ -414,8 +420,10 @@ def _search(
     evaluation had data, the search raises what fluctuated_bounds raises
     at its best point, in either mode.
 
-    A ``warm`` point is descended from alone, and _DEFAULT_SEEDS run only
-    if it finds no positive rate.
+    One rule picks the starts: the ``warm`` point (if any), then each of
+    _DEFAULT_SEEDS in turn, until the first descent whose best rate is
+    positive.  A reach probe raises at its first positive rate, so a probe
+    that returns ran every start.
     """
     # with no background the vacuum decoy measures nothing: one-decoy alone
     with_vacuum = (get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK
@@ -457,28 +465,29 @@ def _search(
         best = evaluate(nu, w1, w2)
         for _ in range(_MAX_CYCLES):
             prev = best
-            res = maximize_scalar(lambda x: evaluate(x, w1, w2), _NU_MIN, nu_hi, 1e-5, 1e-6)
+            res = maximize_scalar(lambda x: evaluate(x, w1, w2), _NU_MIN, nu_hi,
+                                  _LINE_ABS_TOL, _LINE_REL_TOL, (nu, best))
             if res.value > best:
                 nu, best = res.x, res.value
-            res = maximize_scalar(
-                lambda x: evaluate(nu, x, min(w2, _W_MAX - x)), 1e-4, _W_MAX, 1e-5, 1e-6
-            )
+            res = maximize_scalar(lambda x: evaluate(nu, x, min(w2, _W_MAX - x)), 1e-4, _W_MAX,
+                                  _LINE_ABS_TOL, _LINE_REL_TOL, (w1, best))
             if res.value > best:
                 w1, best = res.x, res.value
                 w2 = min(w2, _W_MAX - w1)
             if free_w2:
-                res = maximize_scalar(
-                    lambda x: evaluate(nu, w1, x), 1e-6, max(_W_MAX - w1, 2e-6), 1e-5, 1e-6
-                )
+                res = maximize_scalar(lambda x: evaluate(nu, w1, x), 1e-6, max(_W_MAX - w1, 2e-6),
+                                      _LINE_ABS_TOL, _LINE_REL_TOL, (w2, best))
                 if res.value > best:
                     w2, best = res.x, res.value
             if best <= 0.0 or (prev > 0.0 and best - prev <= _REL_TOL * prev):
                 break
         return best, (nu, w1, w2)
 
-    candidates = [] if warm is None else [refine(warm, with_vacuum)]
-    if not candidates or candidates[0][0] <= 0.0:
-        candidates += [refine(seed, free_w2=with_vacuum) for seed in _DEFAULT_SEEDS]
+    candidates = []
+    for start in itertools.chain(() if warm is None else (warm,), _DEFAULT_SEEDS):
+        candidates.append(refine(start, free_w2=with_vacuum))
+        if candidates[-1][0] > 0.0:  # the first descent that finds key stands
+            break
     if with_vacuum:
         # the w2 = 0 corner, once, from the first best point with w2 free
         candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
@@ -486,6 +495,21 @@ def _search(
     if best < 0.0:  # every evaluation was off the box or had no data
         _report(params, eta, mu, n_total, u_alpha, estimator, (nu, w1, w2))
     return nu, w1, w2
+
+
+def _nu_box_edge(mu: float, nu: float) -> Optional[str]:
+    """The edge of the decoy search box [_NU_MIN, 0.999 mu] that nu lies on, or None.
+
+    nu lies on an edge when it is within the nu line search's stopping
+    width of it: there the box, not the model, sets the optimum.
+    """
+    nu_hi = 0.999 * mu
+    width = _LINE_ABS_TOL + _LINE_REL_TOL * nu_hi
+    if nu - _NU_MIN <= width:
+        return f"lower edge nu = {_NU_MIN:g}"
+    if nu_hi - nu <= width:
+        return "upper edge nu = 0.999 mu"
+    return None
 
 
 def _report(params: ExperimentParams, eta: float, mu: float, n_total: float, u_alpha: float,
@@ -526,9 +550,10 @@ def scan_distance_fluct(
 
     The first length runs optimize_allocation's search.  The optimum moves
     little from one length to the next, so each later one descends from
-    the last optimum alone (see _search's ``warm``) and stops on the same
+    the last optimum first (see _search's ``warm``) and stops on the same
     _REL_TOL, then refines the w2 = 0 corner; past the reach that descent
-    finds no positive rate, and the default seeds run too.
+    finds no positive rate, and the default seeds run in turn, as at the
+    first length.
     """
     points: List[ScanPoint] = []
     warm: Optional[Tuple[float, float, float]] = None

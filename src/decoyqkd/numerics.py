@@ -6,14 +6,17 @@ smooth where it is not flat, so one line search and bisection are used
 throughout.  The line search is golden section while its two interior
 probes tie (a reach probe's clamped objective is 0 until its first
 positive rate), for at most eight steps, and Brent's method once they
-differ.  No derivatives are required anywhere.
+differ; a caller that already knows one point and its value (a
+coordinate descent's current point) hands it in as an incumbent, which
+joins Brent's first fit at no evaluation.  No derivatives are required
+anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))  # 1 - _INV_GOLDEN, Brent's golden-section step
@@ -36,7 +39,8 @@ class MaximizeResult:
 
 
 def maximize_scalar(
-    f: Callable[[float], float], lo: float, hi: float, abs_tol: float, rel_tol: float
+    f: Callable[[float], float], lo: float, hi: float, abs_tol: float, rel_tol: float,
+    incumbent: Optional[Tuple[float, float]] = None,
 ) -> MaximizeResult:
     """Maximum of ``f`` on [lo, hi]: golden section while ``f`` looks flat, then Brent.
 
@@ -47,12 +51,20 @@ def maximize_scalar(
     shrinks by that comparison, and Brent's method (Brent 1973, ch. 5;
     scipy's fminbound loop, written for a maximum) continues from the
     larger point, or from the number where the other is NaN, so a NaN is
-    never the incumbent: a parabolic step through the three best points,
+    never the best point: a parabolic step through the three best points,
     or a golden-section step where the parabola is not trusted.  The
     search stops once its bracket [a, b] is no wider than
     ``abs_tol + rel_tol * max(|a|, |b|)``, or after 200 steps.  A search
     whose probes tied throughout, to that width or for 8 steps, returns
     the bracket midpoint, unconverged.
+
+    ``incumbent`` is a known point and its value ``(x0, f(x0))``, which
+    costs no evaluation.  The tied phase never reads it.  Where x0 lies
+    strictly inside the bracket that phase left, is neither probe, and
+    f(x0) is not NaN, it joins the two probes: the best of the three is
+    Brent's first point, the bracket shrinks to the nearest known point on
+    each side of it, and the first step may be parabolic.  Elsewhere it
+    is ignored.  The search never returns less than f(x0) once x0 joins.
     Needs -inf < lo < hi < inf and finite tolerances > 0 (else ValueError).
     """
     if not -math.inf < lo < hi < math.inf:
@@ -77,15 +89,35 @@ def maximize_scalar(
         b, d, fd = d, c, fc
         c = b - _INV_GOLDEN * (b - a)
         fc = f(c)
-    # Brent from the larger of c and d, never a NaN while the other is a number;
-    # w and v are the second and third best points, u the latest probe, e the
-    # step before last and step the last
+    # Brent from the best known point, never a NaN while another is a number:
+    # the larger of c and d, or the incumbent where it beats both.  w and v are
+    # the second and third best points, u the latest probe, e the step before
+    # last and step the last
     if fd > fc or fc != fc:
-        a, x, fx, w, fw = c, d, fd, c, fc
+        x, fx, w, fw = d, fd, c, fc
     else:
-        b, x, fx, w, fw = d, c, fc, d, fd
+        x, fx, w, fw = c, fc, d, fd
     v, fv = w, fw
-    e = step = 0.0
+    known = (c, d)
+    if incumbent is not None:
+        x0, f0 = incumbent
+        if a < x0 < b and x0 != c and x0 != d and f0 == f0:
+            known = (c, d, x0)
+            if f0 > fx or fx != fx:
+                v, fv, w, fw, x, fx = w, fw, x, fx, x0, f0
+            elif f0 > fw or fw != fw:
+                v, fv, w, fw = w, fw, x0, f0
+            else:
+                v, fv = x0, f0
+    # the bracket shrinks to the nearest known point on each side of x
+    for k in known:
+        if a < k < x:
+            a = k
+        elif x < k < b:
+            b = k
+    step = 0.0
+    # three known points are a fit, so the first step may be parabolic
+    e = b - a if len(known) == 3 else 0.0
     converged = False
     while steps < _MAX_ITER:
         m = 0.5 * (a + b)

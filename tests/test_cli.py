@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from decoyqkd import cli
+from decoyqkd import cli, fluct
 
 
 def run(capsys, *argv):
@@ -201,6 +201,22 @@ def test_fluct_optimize_report(capsys):
         assert key in fields, key
     assert float(fields["R_L"]) > 0.0
     assert float(fields["nu_opt"]) < float(fields["mu"])
+
+
+def test_fluct_optimize_notes_an_optimum_on_the_search_box_edge(monkeypatch, capsys):
+    # at 1e15 pulses and a 0.1-sigma band nu_opt lies on the decoy search's lower
+    # edge, 1e-3, to the line search's stopping width: one note on stderr, and the
+    # report and exit code as without it.  README's table2 optimum is interior
+    code, _, err = run(capsys, "fluct-optimize", "--preset", "gys", "--length", "103.62")
+    assert (code, err) == (0, "")
+    argv = ("fluct-optimize", "--length", "50", "--n-pulses", "1e15", "--u-alpha", "0.1")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "nu_opt = 0.001005\n" in out
+    assert err == ("note: nu_opt lies on the decoy search's lower edge nu = 0.001: "
+                   "the search box, not the model, sets it\n")
+    monkeypatch.setattr(fluct, "_nu_box_edge", lambda mu, nu: None)
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_fluct_optimize_rejects_a_length_with_no_positive_rate(capsys):

@@ -431,9 +431,9 @@ REACH_PINS = [
 ]
 # (search evaluations, fluctuated_bounds calls) of table2's optimization and
 # of the pinned scan over SCAN_LENGTHS
-TABLE2_COUNTS = (253, 1)
+TABLE2_COUNTS = (134, 1)
 SCAN_LENGTHS = [20.0, 60.0, 100.0, 125.0]
-SCAN_COUNTS = (760, 4)
+SCAN_COUNTS = (561, 4)
 
 
 def test_reach_evaluation_count(monkeypatch):
@@ -445,8 +445,10 @@ def test_reach_evaluation_count(monkeypatch):
 
 def test_table2_evaluation_count(monkeypatch):
     # 1,107 evaluations before the w2 = 0 corner was optimized once per search,
-    # 799 before the default seeds went from three to two, and 567 before the
-    # line searches took Brent steps once they saw two unequal values
+    # 799 before the default seeds went from three to two, 567 before the
+    # line searches took Brent steps once they saw two unequal values, and 253
+    # before the search stopped at the first seed that finds key and each line
+    # search started from the incumbent
     eta = transmittance(GYS, 103.62).eta
     res, n, n_bounds = count_calls(
         monkeypatch, lambda: optimize_allocation(GYS, eta, GYS_MU, 6.0e9, u_alpha=10.0)
@@ -456,8 +458,9 @@ def test_table2_evaluation_count(monkeypatch):
 
 
 def test_warm_started_scan_pinned(monkeypatch):
-    # 20 km runs every seed; each later length descends from the last optimum
-    # alone, and 125 km, past the reach, adds the seeds back.  One corner
+    # 20 km runs the seeds up to the first that finds key; each later length
+    # descends from the last optimum alone, and 125 km, past the reach, adds
+    # the seeds back.  One corner
     # search cut 4,914 evaluations to 3,367, and the one descent to 1,821;
     # it raised R_L at 100 km from 5.7869309757010755e-06.  Two default seeds
     # instead of three cut them to 1,508 and moved R_L at 20 km from
@@ -466,21 +469,25 @@ def test_warm_started_scan_pinned(monkeypatch):
     # 100 km from 5.786930988631158e-06.  One descent tolerance, 3e-5 where the
     # descent from the last optimum stopped at 1e-6, cut them to 931 and moved
     # R_L at 100 km from 5.786930988092023e-06.  A flat line search that stops
-    # after 8 tied steps cut them to 760 and moved no point
+    # after 8 tied steps cut them to 760 and moved no point.  Stopping at the
+    # first seed that finds key cut them to 602 and moved no point; each line
+    # search starting from the incumbent cut them to 561 and moved every point,
+    # e.g. R_L at 20 km from 0.0007615513059165533 and at 100 km from
+    # 5.786930827031694e-06
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, SCAN_LENGTHS))
     assert [repr(p) for p in points] == [
-        "ScanPoint(length_km=20.0, rate_lower=0.0007615513059165533, nu=0.044179725170845015, "
-        "n_signal=5657264551.215136, n_decoy1=342735448.7848642, n_decoy2=0.0, "
-        "key_bits=4569307.83549932, low_count_observables=())",
-        "ScanPoint(length_km=60.0, rate_lower=8.692657945070193e-05, nu=0.07544651267590809, "
-        "n_signal=5377407092.782934, n_decoy1=622592907.2170655, n_decoy2=0.0, "
-        "key_bits=521559.47670421156, low_count_observables=())",
-        "ScanPoint(length_km=100.0, rate_lower=5.786930827031694e-06, nu=0.11631484142355293, "
-        "n_signal=4350766244.986789, n_decoy1=1412681438.6713376, n_decoy2=236552316.3418744, "
-        "key_bits=34721.584962190165, low_count_observables=())",
-        "ScanPoint(length_km=125.0, rate_lower=-1.143712969078591e-06, nu=0.11631484142355293, "
-        "n_signal=4350766244.986789, n_decoy1=1412681438.6713376, n_decoy2=236552316.3418744, "
+        "ScanPoint(length_km=20.0, rate_lower=0.0007615513059031672, nu=0.04417958129624563, "
+        "n_signal=5657264158.279506, n_decoy1=342735841.7204945, n_decoy2=0.0, "
+        "key_bits=4569307.835419004, low_count_observables=())",
+        "ScanPoint(length_km=60.0, rate_lower=8.69265794512511e-05, nu=0.07544611686574132, "
+        "n_signal=5377401951.240931, n_decoy1=622598048.7590696, n_decoy2=0.0, "
+        "key_bits=521559.47670750663, low_count_observables=())",
+        "ScanPoint(length_km=100.0, rate_lower=5.7869308189017e-06, nu=0.11631463712891922, "
+        "n_signal=4350749148.863824, n_decoy1=1412691364.4916942, n_decoy2=236559486.6444813, "
+        "key_bits=34721.584913410195, low_count_observables=())",
+        "ScanPoint(length_km=125.0, rate_lower=-1.1436972182051224e-06, nu=0.11631463712891922, "
+        "n_signal=4350749148.863824, n_decoy1=1412691364.4916942, n_decoy2=236559486.6444813, "
         "key_bits=0.0, low_count_observables=())",
     ]
     assert (n, n_bounds) == SCAN_COUNTS
@@ -596,6 +603,18 @@ def test_the_search_finds_the_box_when_no_seed_starts_inside_it(estimator, three
     assert found.result.rate_lower == pytest.approx(three_seed_optimum, rel=1e-6)
 
 
+@pytest.mark.parametrize("nu, edge", [
+    (1e-3 + 1.0e-5, "lower edge nu = 0.001"),
+    (1e-3 + 1.1e-5, None),
+    (0.2, None),
+    (0.4995 - 1.1e-5, None),
+    (0.4995 - 1.0e-5, "upper edge nu = 0.999 mu"),
+])
+def test_a_nu_within_the_line_search_width_of_the_box_lies_on_its_edge(nu, edge):
+    # at mu = 0.5 the nu box is [1e-3, 0.4995], and the width 1e-5 + 1e-6 * 0.4995
+    assert fluct._nu_box_edge(0.5, nu) == edge
+
+
 @pytest.mark.parametrize("y0", [1.7e-6, 1e-7, 1e-8, 1e-10, 0.0])
 @pytest.mark.parametrize("n_total", [6.0e9, 1.0e11])
 def test_vacuum_weak_reaches_at_least_as_far_as_one_decoy(y0, n_total):
@@ -625,6 +644,33 @@ CONTINUATIONS = [
 ]
 
 
+def all_seed_optimum(params, eta, mu, n_total, u_alpha, estimator):
+    """The best rate_lower of a descent from each default seed, each with its w2 = 0 corner.
+
+    The search itself stops at the first seed that finds key.  Here every
+    seed runs as a warm point, which descends alone when it finds key and
+    then refines the corner, so the reference does not rest on that rule.
+    """
+    return max(
+        fluct._report(params, eta, mu, n_total, u_alpha, estimator,
+                      fluct._search(params, eta, mu, n_total, u_alpha, estimator, warm=seed)
+                      ).result.rate_lower
+        for seed in fluct._DEFAULT_SEEDS
+    )
+
+
+def test_the_first_seed_that_finds_key_keeps_the_all_seed_optimum():
+    # on the first 20 sampled links, inside each reach, and at table2
+    for preset, estimator, n_total, u_alpha, length in sample()[:20] + [
+            ("GYS", "vacuum-weak", 6.0e9, 10.0, 103.62)]:
+        params, mu = {"GYS": (GYS, GYS_MU), "KTH": (KTH, KTH_MU)}[preset]
+        eta = transmittance(params, length).eta
+        found = optimize_allocation(params, eta, mu, n_total, u_alpha, estimator)
+        reference = all_seed_optimum(params, eta, mu, n_total, u_alpha, estimator)
+        assert reference > 0.0
+        assert found.result.rate_lower >= reference * (1.0 - 1e-6)
+
+
 @pytest.mark.parametrize("params, mu, n_total, estimator, lengths, restarts", CONTINUATIONS)
 def test_continuation_scan_keeps_the_all_seed_optimum(monkeypatch, params, mu, n_total,
                                                       estimator, lengths, restarts):
@@ -643,8 +689,8 @@ def test_continuation_scan_keeps_the_all_seed_optimum(monkeypatch, params, mu, n
     assert tuple(restarted) == restarts
     for point in points:
         eta = transmittance(params, point.length_km).eta
-        full = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
-        assert max(point.rate_lower, 0.0) >= full.result.rate_lower * (1.0 - 1e-6)
+        full = all_seed_optimum(params, eta, mu, n_total, 10.0, estimator)
+        assert max(point.rate_lower, 0.0) >= full * (1.0 - 1e-6)
 
 
 def test_fluctuated_bounds_on_a_link_with_no_background_is_one_decoy():
@@ -659,11 +705,12 @@ def test_fluctuated_bounds_on_a_link_with_no_background_is_one_decoy():
 def test_a_link_with_no_background_runs_the_one_decoy_analysis():
     # with y0 = 0 the vacuum decoy records nothing, so vacuum+weak is one-decoy;
     # R_L was 1.5917159522453402e-4 at nu 0.05077663986346922 before one descent
-    # tolerance, 3e-5 where a cold search stopped at 1e-4
+    # tolerance, 3e-5 where a cold search stopped at 1e-4, and 1.591716203594125e-4
+    # at nu 0.0508523452661398 before each line search started from the incumbent
     params = dataclasses.replace(GYS, y0=0.0)
     eta = transmittance(params, 50.0).eta
     for estimator in ("vacuum-weak", "one-decoy"):
         res = optimize_allocation(params, eta, 0.5, 6.0e9, estimator=estimator)
         assert (res.result.rate_lower, res.nu, res.alloc.n_decoy2) == (
-            1.591716203594125e-4, 0.0508523452661398, 0.0)
+            1.5917162033254257e-4, 0.05085162264480231, 0.0)
         assert max_distance_fluct(params, 0.5, 6.0e9, estimator=estimator) == 172.453125

@@ -7,8 +7,11 @@ from helpers import finite_difference, flat_golden_section_probes
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from decoyqkd import fluct
+from decoyqkd.fluct import optimize_allocation
+from decoyqkd.model import GYS, transmittance
 from decoyqkd.numerics import find_zero_crossing, maximize_scalar
-from decoyqkd.rate import REACH_LIMIT_KM, max_secure_distance
+from decoyqkd.rate import REACH_LIMIT_KM, max_secure_distance, optimal_mu
 
 
 def test_maximize_scalar_rejects_bad_input():
@@ -96,6 +99,11 @@ MAXIMIZE_PINS = {
     "lo < 0": ((lambda x: -((x + 30.0) ** 2)), -100.0, 10.0,
                "MaximizeResult(x=-30.0, value=-0.0, converged=True)"),
     "flat": ((lambda x: 7.0), 0.0, 4.0, "MaximizeResult(x=2.0, value=7.0, converged=False)"),
+    # the probes 0.382 and 0.618 leave the peak left of the midpoint, where a
+    # point the search only thought it knew would cut it off
+    "skewed": ((lambda x: -((x - 0.45) ** 2) * (1.0 if x < 0.45 else 0.1)), 0.0, 1.0,
+               "MaximizeResult(x=0.44999999999999996, value=-3.0814879110195774e-33, "
+               "converged=True)"),
 }
 
 
@@ -163,6 +171,79 @@ def test_maximize_scalar_converges_on_a_smooth_concave_function(lo, span, where,
     assert lo <= res.x <= hi
     peak = min(max(t, lo), hi)
     assert abs(res.x - peak) <= abs_tol + rel_tol * max(abs(lo), abs(hi))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    lo=st.floats(-100.0, 100.0),
+    span=st.floats(1e-3, 10.0),
+    where=st.floats(-1.0, 2.0),
+    skew=st.floats(0.2, 5.0),
+    start=st.floats(1e-6, 1.0 - 1e-6),  # x0 strictly inside (lo, hi)
+    abs_tol=st.floats(1e-4, 1e-2),
+    rel_tol=st.floats(1e-9, 1e-3),
+)
+@example(lo=0.0, span=1.0, where=0.5, skew=1.0, start=0.5, abs_tol=1e-4, rel_tol=1e-6)  # at peak
+@example(lo=0.0, span=1.0, where=-1.0, skew=5.0, start=1e-6, abs_tol=1e-4, rel_tol=1e-6)  # lo
+@example(lo=0.0, span=1.0, where=2.0, skew=0.2, start=1.0 - 1e-6, abs_tol=1e-4, rel_tol=1e-6)  # hi
+def test_an_incumbent_inside_the_bracket_is_never_lost(lo, span, where, skew, start,
+                                                       abs_tol, rel_tol):
+    # the same concave family as above, with a known point (x0, f(x0)) handed in
+    hi = lo + span
+    t = lo + where * span
+
+    def f(x):
+        return skew * (x - t) / span - math.exp(skew * (x - t) / span)
+
+    x0 = lo + start * span
+    res = maximize_scalar(f, lo, hi, abs_tol, rel_tol, (x0, f(x0)))
+    assert res.converged
+    assert lo <= res.x <= hi
+    assert res.value >= f(x0)
+    peak = min(max(t, lo), hi)
+    assert abs(res.x - peak) <= abs_tol + rel_tol * max(abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("case", MAXIMIZE_PINS)
+def test_an_incumbent_that_cannot_be_used_changes_nothing(case):
+    # none, on or outside the bracket's ends, or with a NaN value: a value of
+    # 1e300 would beat every probe if the search took it
+    f, lo, hi, expected = MAXIMIZE_PINS[case]
+    for incumbent in (None, (lo, 1e300), (hi, 1e300), (lo - 1.0, 1e300), (hi + 1.0, 1e300),
+                      (0.5 * (lo + hi), math.nan)):
+        assert repr(maximize_scalar(f, lo, hi, 1e-5, 1e-6, incumbent)) == expected
+
+
+@pytest.mark.parametrize("lo, hi", FLAT_BRACKETS)
+def test_a_flat_line_search_never_reads_the_incumbent(lo, hi):
+    # a negative reach probe's line searches tie throughout, so its walk, and
+    # every reach, owes nothing to the incumbent the descent hands in
+    for where in (0.01, 0.3, 0.5, 0.99):
+        for f0 in (1.0, 0.0, -1.0):
+            probes = []
+            res = maximize_scalar(lambda x: probes.append(x) or 0.0, lo, hi, 1e-5, 1e-6,
+                                  (lo + where * (hi - lo), f0))
+            assert probes == flat_golden_section_probes(lo, hi, 1e-5, 1e-6)
+            assert (res.x, res.value, res.converged) == (0.5 * (lo + hi), 0.0, False)
+
+
+def test_the_incumbent_saves_evaluations_at_table2(monkeypatch):
+    # the allocation search hands each line search its current point and value
+
+    def evaluations(keep_incumbent):
+        calls = []
+
+        def counted(f, lo, hi, abs_tol, rel_tol, incumbent=None):
+            return maximize_scalar(lambda x: calls.append(x) or f(x), lo, hi, abs_tol, rel_tol,
+                                   incumbent if keep_incumbent else None)
+
+        monkeypatch.setattr(fluct, "maximize_scalar", counted)
+        res = optimize_allocation(GYS, transmittance(GYS, 103.62).eta, optimal_mu(GYS), 6.0e9)
+        return len(calls), res.result.rate_lower
+
+    with_incumbent, without = evaluations(True), evaluations(False)
+    assert with_incumbent[0] < without[0]
+    assert with_incumbent[1] >= without[1] * (1.0 - 1e-6)
 
 
 def test_finite_difference_sine():
