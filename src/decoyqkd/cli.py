@@ -354,10 +354,9 @@ def cmd_fluct_optimize(args) -> None:
     print(f"beta_y1 = {100 * fb.beta_y1:.2f}%")
     print(f"beta_e1 = {100 * fb.beta_e1:.2f}%")
     print(f"beta_r = {100 * fb.beta_r:.2f}%")
-    edge = fluct_mod._nu_box_edge(mu, res.nu)
-    if edge is not None:
-        print(f"note: nu_opt lies on the decoy search's {edge}: the search box, not the model, "
-              "sets it", file=sys.stderr)
+    for edge in fluct_mod._box_edges(mu, res.nu, alloc.n_decoy1 / alloc.n_total,
+                                     alloc.n_decoy2 / alloc.n_total):
+        print(f"note: {edge}: the search box, not the model, sets it", file=sys.stderr)
 
 
 # --- canned datasets ---------------------------------------------------

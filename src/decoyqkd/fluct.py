@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bounds import _check_mu_range, _check_one_decoy_intensities
 from .model import (
@@ -364,14 +364,11 @@ _DEFAULT_SEEDS = (
 )
 _NU_MIN = 1e-3  # the decoy intensity search runs over [_NU_MIN, 0.999 mu]
 _W_MAX = 0.98  # keep at least 2% of pulses on the signal
+_W1_MIN, _W2_MIN = 1e-4, 1e-6  # the lower ends of the w1 and w2 line searches
 # each line search stops on a bracket [a, b] no wider than abs + rel * max(|a|, |b|)
 _LINE_ABS_TOL, _LINE_REL_TOL = 1e-5, 1e-6
 _REL_TOL = 3e-5  # every coordinate descent stops on a smaller relative gain per cycle
 _MAX_CYCLES = 12
-
-
-class _PositiveRate(Exception):
-    """A reach probe's search met a positive rate, which settles its sign."""
 
 
 def optimize_allocation(
@@ -407,38 +404,61 @@ def _search(
     n_total: float,
     u_alpha: float,
     estimator: str,
-    probe: bool = False,
     warm: Optional[Tuple[float, float, float]] = None,
 ) -> Tuple[float, float, float]:
-    """optimize_allocation's best point (nu, w1, w2).
+    """optimize_allocation's best point (nu, w1, w2): _descend on the kernel at eta.
 
-    With ``probe=True`` the search is a reach probe: it raises
-    _PositiveRate at its first rate > 0.  The best value the search
-    returns is the running maximum of its evaluations (the line searches
-    keep their better interior point and refine keeps only gains), so that
-    evaluation already decides that the optimum is positive.  When no
-    evaluation had data, the search raises what fluctuated_bounds raises
-    at its best point, in either mode.
-
-    One rule picks the starts: the ``warm`` point (if any), then each of
-    _DEFAULT_SEEDS in turn, until the first descent whose best rate is
-    positive.  A reach probe raises at its first positive rate, so a probe
-    that returns ran every start.
+    When no evaluation had data, the search raises what fluctuated_bounds
+    raises at its best point.
     """
+    with_vacuum = _check_search(params, mu, n_total, u_alpha, estimator)
+    if not 0.0 <= eta <= 1.0:
+        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
+    best, point = _descend(_worst_case(params, eta, mu), mu, n_total, u_alpha, with_vacuum,
+                           warm)
+    if best < 0.0:  # every evaluation was off the box or had no data
+        _report(params, eta, mu, n_total, u_alpha, estimator, point)
+    return point
+
+
+def _check_search(params: ExperimentParams, mu: float, n_total: float, u_alpha: float,
+                  estimator: str) -> bool:
+    """Check the search's inputs other than eta; return whether its vacuum decoy runs."""
     # with no background the vacuum decoy measures nothing: one-decoy alone
     with_vacuum = (get_estimator(estimator, finite_size=True).observes == VACUUM_WEAK
                    and params.y0 != 0.0)
     if not 0.0 < n_total < math.inf:
         raise ValidationError(f"n_total must be finite and > 0, got {n_total}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"eta must lie in [0, 1], got {eta}")
     if not 0.0 <= u_alpha < math.inf:
         raise ValidationError(f"u_alpha must be finite and >= 0, got {u_alpha}")
-    nu_hi = 0.999 * mu
-    if not _NU_MIN < nu_hi:
+    if not _NU_MIN < 0.999 * mu:
         raise ValidationError(f"mu={mu} leaves the decoy search [{_NU_MIN:g}, 0.999 mu] empty")
     _check_mu_range(mu)
-    worst_case = _worst_case(params, eta, mu)
+    return with_vacuum
+
+
+def _descend(
+    worst_case: Callable[..., Tuple[float, float, float]],
+    mu: float,
+    n_total: float,
+    u_alpha: float,
+    with_vacuum: bool,
+    warm: Optional[Tuple[float, float, float]] = None,
+) -> Tuple[float, Tuple[float, float, float]]:
+    """The coordinate descent's best (value, (nu, w1, w2)) on the kernel ``worst_case``.
+
+    The objective is max(rate, 0) of worst_case(nu, n1, n2, q, u_alpha, 0.0)
+    on the box 0 < nu < mu, w1 > 0, w2 >= 0, w1 + w2 <= _W_MAX, and -1 off
+    it or where a band has no expected events.  The best value is the
+    running maximum of the evaluations: the line searches keep their
+    better interior point, and each descent keeps only gains.
+
+    One rule picks the starts: ``warm`` (if any), then each of
+    _DEFAULT_SEEDS in turn, until the first descent whose best is
+    positive.  With the vacuum decoy the w2 = 0 corner then descends once,
+    from the best point so far.
+    """
+    nu_hi = 0.999 * mu
     two_n = 2.0 * n_total
 
     def evaluate(nu: float, w1: float, w2: float) -> float:
@@ -453,8 +473,6 @@ def _search(
             rate = worst_case(nu, n1, n2, (n_total - n1 - n2) / two_n, u_alpha, 0.0)[0]
         except InsufficientDataError:
             return -1.0
-        if probe and rate > 0.0:
-            raise _PositiveRate
         return 0.0 if 0.0 > rate else rate  # max(rate, 0.0), without the call
 
     def refine(seed: Tuple[float, float, float],
@@ -469,14 +487,15 @@ def _search(
                                   _LINE_ABS_TOL, _LINE_REL_TOL, (nu, best))
             if res.value > best:
                 nu, best = res.x, res.value
-            res = maximize_scalar(lambda x: evaluate(nu, x, min(w2, _W_MAX - x)), 1e-4, _W_MAX,
+            res = maximize_scalar(lambda x: evaluate(nu, x, min(w2, _W_MAX - x)), _W1_MIN, _W_MAX,
                                   _LINE_ABS_TOL, _LINE_REL_TOL, (w1, best))
             if res.value > best:
                 w1, best = res.x, res.value
                 w2 = min(w2, _W_MAX - w1)
             if free_w2:
-                res = maximize_scalar(lambda x: evaluate(nu, w1, x), 1e-6, max(_W_MAX - w1, 2e-6),
-                                      _LINE_ABS_TOL, _LINE_REL_TOL, (w2, best))
+                res = maximize_scalar(lambda x: evaluate(nu, w1, x), _W2_MIN,
+                                      max(_W_MAX - w1, 2.0 * _W2_MIN), _LINE_ABS_TOL,
+                                      _LINE_REL_TOL, (w2, best))
                 if res.value > best:
                     w2, best = res.x, res.value
             if best <= 0.0 or (prev > 0.0 and best - prev <= _REL_TOL * prev):
@@ -491,25 +510,118 @@ def _search(
     if with_vacuum:
         # the w2 = 0 corner, once, from the first best point with w2 free
         candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
-    best, (nu, w1, w2) = max(candidates, key=lambda c: c[0])
-    if best < 0.0:  # every evaluation was off the box or had no data
-        _report(params, eta, mu, n_total, u_alpha, estimator, (nu, w1, w2))
-    return nu, w1, w2
+    return max(candidates, key=lambda c: c[0])
 
 
-def _nu_box_edge(mu: float, nu: float) -> Optional[str]:
-    """The edge of the decoy search box [_NU_MIN, 0.999 mu] that nu lies on, or None.
+def _probe_allocations(params: ExperimentParams, mu: float, n_total: float, u_alpha: float,
+                       estimator: str) -> List[Tuple[float, float, float, float]]:
+    """The kernel inputs (nu, n1, n2, q) that a reach probe evaluates, in search order.
 
-    nu lies on an edge when it is within the nu line search's stopping
-    width of it: there the box, not the model, sets the optimum.
+    While every rate is <= 0 the search's objective is 0 on the box and -1
+    off it, whatever the link, so every search that finds no key walks one
+    path: each default seed in turn, then the w2 = 0 corner, every line
+    search a flat walk of at most numerics._FLAT_STEPS tied steps and its
+    midpoint.  That path is _descend on a kernel that records its inputs
+    and rates each 0.  On a link where every allocation has data, the
+    search finds key exactly when an allocation of the path has a rate
+    > 0 there.
+
+    The list keeps the allocations of the path that no other allocation
+    on it dominates.  One dominates another when both have the same nu
+    and the same analysis (both vacuum pulses, or both n2 = 0), and it
+    has at least as many weak-decoy and vacuum pulses.  Its fewer signal
+    pulses lower q > 0, which scales the rate and keeps its sign; the
+    rate is q B, and where B > 0 it does not fall as n1 or n2 grows, so a
+    dominated allocation has key only where its dominator has.  For n1:
+    as n1 grows the weak-decoy bands narrow, so Q_nu1's lower end rises
+    and the upper end of its error-gain product falls; Y1 rises and e1
+    falls, and neither can lower B.  For n2, where only the vacuum band
+    narrows, it is a property of the kernel that a test checks, as did
+    72,000 seeded kernel calls (ROADMAP item 11).  Dominance is tested
+    within each (nu, analysis) group, in one sweep by falling n1.  Of
+    the path's 91 allocations (46 for one-decoy), 27 (13) are kept.
     """
-    nu_hi = 0.999 * mu
-    width = _LINE_ABS_TOL + _LINE_REL_TOL * nu_hi
-    if nu - _NU_MIN <= width:
-        return f"lower edge nu = {_NU_MIN:g}"
-    if nu_hi - nu <= width:
-        return "upper edge nu = 0.999 mu"
-    return None
+    with_vacuum = _check_search(params, mu, n_total, u_alpha, estimator)
+    path: Dict[Tuple[float, float, float, float], None] = {}  # in first-visit order
+
+    def flat(nu: float, n1: float, n2: float, q: float, *_) -> Tuple[float, float, float]:
+        path[nu, n1, n2, q] = None
+        return 0.0, 0.0, 0.0  # no rate, no bounds: the kernel of a search that finds no key
+
+    _descend(flat, mu, n_total, u_alpha, with_vacuum)
+    groups: Dict[Tuple[float, bool], List[Tuple[float, float, float, float]]] = {}
+    for point in path:
+        groups.setdefault((point[0], point[2] > 0.0), []).append(point)
+    kept = set()
+    for group in groups.values():
+        # by n1, then n2, falling: a point is dominated where an earlier one has n2 >= its own
+        top = -1.0
+        for point in sorted(group, key=lambda p: (-p[1], -p[2])):
+            if point[2] > top:
+                kept.add(point)
+                top = point[2]
+    return [point for point in path if point in kept]
+
+
+def _reach_probe(params: ExperimentParams, mu: float, n_total: float, u_alpha: float,
+                 estimator: str) -> Callable[[float], bool]:
+    """f(eta): whether the allocation search finds a positive rate at transmittance eta.
+
+    f runs the kernel over _probe_allocations, built once here, in order,
+    and returns at the first rate > 0.  It skips an allocation whose band
+    has no expected events; where none has data it runs the search, which
+    raises what fluctuated_bounds raises at its best point.  A link where
+    only some allocations of the path have data is the one place where f
+    can differ from the search's sign: the search rates an allocation
+    with no data -1, as off the box, so its line searches no longer tie
+    there and its walk can leave the path.
+    """
+    allocations = _probe_allocations(params, mu, n_total, u_alpha, estimator)
+
+    def positive(eta: float) -> bool:
+        worst_case = _worst_case(params, eta, mu)
+        had_data = False
+        for nu, n1, n2, q in allocations:
+            try:
+                if worst_case(nu, n1, n2, q, u_alpha, 0.0)[0] > 0.0:
+                    return True
+            except InsufficientDataError:
+                continue
+            had_data = True
+        if not had_data:
+            _search(params, eta, mu, n_total, u_alpha, estimator)
+        return False
+
+    return positive
+
+
+def _box_edges(mu: float, nu: float, w1: float, w2: float) -> List[str]:
+    """The edges of the search box that the point (nu, w1, w2) lies on, one phrase each.
+
+    The box is nu in [_NU_MIN, 0.999 mu], w1 in [_W1_MIN, _W_MAX] and w2 in
+    [_W2_MIN, _W_MAX - w1], each the bracket of its line search.  A
+    coordinate lies on an edge when it is within that line search's
+    stopping width of it: there the box, not the model, sets the optimum.
+    w2 = 0 is the one-decoy corner, which the search optimizes in its own
+    right, so it lies on no edge.
+    """
+    lines = [  # (what lies on the edge, x, the bracket, its lower and upper edges)
+        ("nu_opt lies on the decoy", nu, _NU_MIN, 0.999 * mu, f"nu = {_NU_MIN:g}",
+         "nu = 0.999 mu"),
+        ("N_1 lies on the allocation", w1, _W1_MIN, _W_MAX, f"N_1 = {_W1_MIN:g} N",
+         f"N_1 = {_W_MAX:g} N"),
+    ]
+    if w2 != 0.0:
+        lines.append(("N_2 lies on the allocation", w2, _W2_MIN, max(_W_MAX - w1, 2.0 * _W2_MIN),
+                      f"N_2 = {_W2_MIN:g} N", f"N_1 + N_2 = {_W_MAX:g} N"))
+    edges = []
+    for what, x, lo, hi, lo_edge, hi_edge in lines:
+        width = _LINE_ABS_TOL + _LINE_REL_TOL * hi
+        if x - lo <= width:
+            edges.append(f"{what} search's lower edge {lo_edge}")
+        elif hi - x <= width:
+            edges.append(f"{what} search's upper edge {hi_edge}")
+    return edges
 
 
 def _report(params: ExperimentParams, eta: float, mu: float, n_total: float, u_alpha: float,
@@ -588,16 +700,14 @@ def max_distance_fluct(
     Marches from 1 km in 8 km steps and bisects the first bracket where
     the optimum stops being positive.  Returns None when it is not
     positive at 1 km, and exactly l_hi when it is still positive there.
-    l_hi must be finite and > 1 km.
+    l_hi must be finite and > 1 km.  Each probe asks only the sign: it
+    tries the allocations of _probe_allocations, built once per call (27
+    for vacuum+weak, 13 for one-decoy), and stops at the first with a
+    positive rate.
     """
     if not 1.0 < l_hi < math.inf:
         raise ValidationError(f"l_hi must be finite and > 1 km, got {l_hi}")
-    def sign(length: float) -> float:
-        eta = transmittance(params, length).eta
-        try:
-            _search(params, eta, mu, n_total, u_alpha, estimator, probe=True)
-        except _PositiveRate:
-            return 1.0
-        return -1.0
-
-    return find_zero_crossing(sign, 1.0, l_hi, 8.0, x_tol=0.05)
+    positive = _reach_probe(params, mu, n_total, u_alpha, estimator)
+    return find_zero_crossing(
+        lambda length: 1.0 if positive(transmittance(params, length).eta) else -1.0,
+        1.0, l_hi, 8.0, x_tol=0.05)

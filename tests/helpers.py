@@ -1,7 +1,8 @@
 """Functions that only the tests use.
 
 Numerics (finite_difference, and the probes of a golden-section search
-on a flat objective), the photon-number series of the channel
+on a flat objective), the walk of an allocation search that finds no
+key and the reach probe that evaluates all of it, the photon-number series of the channel
 model (photon_transmittance, yield_i, gain_i, error_i,
 poisson_tail_cutoff), and the structure of the Y1/e1 bounds as functions
 of the weakest decoy behind criterion 10's "the weakest decoy should be
@@ -11,6 +12,7 @@ vacuum" checks.
 import math
 from typing import Callable
 
+from decoyqkd import fluct
 from decoyqkd.bounds import ProtocolIntensities
 from decoyqkd.model import (
     E0,
@@ -49,6 +51,59 @@ def flat_golden_section_probes(lo: float, hi: float, abs_tol: float, rel_tol: fl
         c = b - g * (b - a)
         probes.append(c)
     return probes + [0.5 * (lo + hi)]
+
+
+def flat_walk(mu: float, n_total: float, vacuum: bool) -> list:
+    """The kernel inputs (nu, n1, n2, q), in order, of an allocation search that finds no key.
+
+    Every evaluation of such a search is 0 on the box, so each line
+    search probes the flat golden-section points and moves nothing, and
+    each descent ends after one cycle: from each default seed, the seed,
+    then a line in nu, in w1 (w2 capped at 0.98 - w1) and, with the
+    vacuum decoy, in w2; then, with the vacuum decoy, the w2 = 0 corner
+    from the first seed, without the w2 line.  Every seed's nu must lie
+    in the nu box [1e-3, 0.999 mu] (else ValueError), so that every
+    point lies in the search box.
+    """
+    nu_hi = 0.999 * mu
+    tols = (fluct._LINE_ABS_TOL, fluct._LINE_REL_TOL)
+    if not all(fluct._NU_MIN <= nu <= nu_hi for nu, _, _ in fluct._DEFAULT_SEEDS):
+        raise ValueError(f"a default seed's nu lies outside the nu box at mu = {mu}")
+    starts = [(seed, vacuum) for seed in fluct._DEFAULT_SEEDS]
+    if vacuum:
+        starts.append((fluct._DEFAULT_SEEDS[0], False))
+    points = []
+    for (nu, w1, w2), free_w2 in starts:
+        w2 = w2 if free_w2 else 0.0
+        points.append((nu, w1, w2))
+        points += [(x, w1, w2) for x in flat_golden_section_probes(fluct._NU_MIN, nu_hi, *tols)]
+        points += [(nu, x, min(w2, fluct._W_MAX - x))
+                   for x in flat_golden_section_probes(1e-4, fluct._W_MAX, *tols)]
+        if free_w2:
+            points += [(nu, w1, x)
+                       for x in flat_golden_section_probes(1e-6, fluct._W_MAX - w1, *tols)]
+    walk = []
+    for nu, w1, w2 in points:
+        n1, n2 = w1 * n_total, w2 * n_total
+        walk.append((nu, n1, n2, (n_total - n1 - n2) / (2.0 * n_total)))
+    return walk
+
+
+def flat_walk_positive(params: ExperimentParams, eta: float, mu: float, n_total: float,
+                       u_alpha: float, vacuum: bool) -> bool:
+    """Whether any allocation of flat_walk has a rate > 0: the sign of a search at eta.
+
+    Evaluates the kernel at each allocation in order, skipping one whose
+    band has no expected events.
+    """
+    kernel = fluct._worst_case(params, eta, mu)
+    for nu, n1, n2, q in flat_walk(mu, n_total, vacuum):
+        try:
+            if kernel(nu, n1, n2, q, u_alpha)[0] > 0.0:
+                return True
+        except fluct.InsufficientDataError:
+            continue
+    return False
 
 
 # --- the photon-number series of the channel model ---------------------

@@ -215,7 +215,24 @@ def test_fluct_optimize_notes_an_optimum_on_the_search_box_edge(monkeypatch, cap
     assert "nu_opt = 0.001005\n" in out
     assert err == ("note: nu_opt lies on the decoy search's lower edge nu = 0.001: "
                    "the search box, not the model, sets it\n")
-    monkeypatch.setattr(fluct, "_nu_box_edge", lambda mu, nu: None)
+    monkeypatch.setattr(fluct, "_box_edges", lambda mu, nu, w1, w2: [])
+    assert run(capsys, *argv) == (0, out, "")
+
+
+def test_fluct_optimize_notes_each_edge_of_the_search_box(monkeypatch, capsys):
+    # at a 1e-3-sigma band N_1 and N_2 also lie within their line searches'
+    # stopping widths of their floors, 1e-4 N and 1e-6 N: one note per edge
+    argv = ("fluct-optimize", "--length", "50", "--n-pulses", "1e15", "--u-alpha", "1e-3")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "N_1 = 1.0468e+11  (0.0001 of N)\n" in out
+    assert err == "".join(
+        f"note: {edge}: the search box, not the model, sets it\n" for edge in (
+            "nu_opt lies on the decoy search's lower edge nu = 0.001",
+            "N_1 lies on the allocation search's lower edge N_1 = 0.0001 N",
+            "N_2 lies on the allocation search's lower edge N_2 = 1e-06 N",
+        ))
+    monkeypatch.setattr(fluct, "_box_edges", lambda mu, nu, w1, w2: [])
     assert run(capsys, *argv) == (0, out, "")
 
 

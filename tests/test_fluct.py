@@ -311,9 +311,9 @@ def test_max_distance_fluct_boundaries():
 def test_max_distance_fluct_rejects_a_limit_it_cannot_search(monkeypatch, l_hi):
     # 0.5 used to come back as 0.5, which reads as censored below the 1 km start
     def never_called(*args):
-        raise AssertionError("the reach probed a length")
+        raise AssertionError("the reach built its probe")
 
-    monkeypatch.setattr(fluct, "_search", never_called)
+    monkeypatch.setattr(fluct, "_reach_probe", never_called)
     with pytest.raises(ValidationError, match="l_hi"):
         max_distance_fluct(GYS, 0.479, 6.0e9, l_hi=l_hi)
 

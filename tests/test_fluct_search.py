@@ -1,23 +1,25 @@
-"""The worst-case rate kernel, the reach's early exit, the scan's continuation, and their counts.
+"""The worst-case rate kernel, the reach's probe, the scan's continuation, and their counts.
 
 fluctuated_bounds and the allocation search both evaluate one fused float
-kernel (fluct._worst_case), and a reach probe stops at its first positive
-evaluation (fluct._search with probe=True).  Both must give exactly what the
-full computation gives: tests/fluct_oracle.py builds every intermediate
+kernel (fluct._worst_case), and a reach probe evaluates it only at the
+undominated allocations of the path a search that finds no key walks
+(fluct._probe_allocations).  Both must give exactly what the full
+computation gives: tests/fluct_oracle.py builds every intermediate
 object, and is the oracle of fluctuated_bounds, message for message, and of
-the kernel on the domain it documents, which every search call keeps to.
-The evaluation counts are deterministic, so they are pinned: a change to
-the search that moves them should say so.
+the kernel on the domain it documents, which every search call keeps to;
+helpers.flat_walk_positive, which evaluates the whole path, is the
+oracle of the probe.  The evaluation counts are deterministic, so they
+are pinned: a change to the search that moves them should say so.
 """
-
 import dataclasses
 import math
 
 import pytest
 from fluct_oracle import oracle_fluctuated_bounds
+from helpers import flat_walk, flat_walk_positive
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_search_relations import sample
+from test_search_relations import MUS, PRESETS, reach, sample
 
 from decoyqkd import fluct, numerics
 from decoyqkd.fluct import (
@@ -31,6 +33,7 @@ from decoyqkd.fluct import (
     scan_distance_fluct,
 )
 from decoyqkd.model import GYS, KTH, ValidationError, simulate_observations, transmittance
+from decoyqkd.numerics import find_zero_crossing
 from decoyqkd.rate import ESTIMATORS, VACUUM_WEAK, get_estimator, optimal_mu, optimal_mu_wang
 
 GYS_MU = optimal_mu(GYS)
@@ -351,11 +354,7 @@ def test_a_yield_at_its_cap_has_unbounded_relative_errors(mu, nu):
 
 def probe(params, eta, mu, n_total, estimator):
     """Whether a reach probe met a positive rate: max_distance_fluct's sign."""
-    try:
-        fluct._search(params, eta, mu, n_total, 10.0, estimator, probe=True)
-    except fluct._PositiveRate:
-        return True
-    return False
+    return fluct._reach_probe(params, mu, n_total, 10.0, estimator)(eta)
 
 
 # lengths just inside and just beyond each reach
@@ -376,6 +375,97 @@ def test_early_exit_sign_equals_the_full_optimum(params, mu, n_total, estimator,
     full = optimize_allocation(params, eta, mu, n_total, estimator=estimator)
     early = probe(params, eta, mu, n_total, estimator)
     assert early == (full.result.rate_lower > 0.0) == expected
+
+
+def dominates(big, small):
+    """Whether kernel input ``big`` has at least ``small``'s pulses, at its nu and analysis."""
+    return (big[0] == small[0] and (big[2] > 0.0) == (small[2] > 0.0)
+            and big[1] >= small[1] and big[2] >= small[2])
+
+
+@pytest.mark.parametrize("params, mu, n_total, estimator, kept", [
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 27),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", 13),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 27),
+    (KTH, KTH_MU, 1.0e8, "one-decoy", 13),
+    (dataclasses.replace(GYS, y0=0.0), 0.5, 6.0e9, "vacuum-weak", 13),
+])
+def test_a_probe_keeps_the_undominated_allocations_of_the_flat_walk(params, mu, n_total,
+                                                                    estimator, kept):
+    walk = flat_walk(mu, n_total, runs_vacuum(params, estimator))
+    probed = fluct._probe_allocations(params, mu, n_total, 10.0, estimator)
+    assert len(probed) == kept
+    # a subset of the walk, in its order, each allocation once
+    assert probed == [point for point in dict.fromkeys(walk) if point in probed]
+    # none dominates another, and each dropped one is dominated by one kept
+    assert not any(dominates(a, b) for a in probed for b in probed if a != b)
+    for point in walk:
+        assert point in probed or any(dominates(other, point) for other in probed)
+
+
+def test_a_probe_has_the_sign_of_the_whole_flat_walk():
+    # at each SIGN_CASES length, and 0.05 km either side of each sampled reach
+    cases = [(params, mu, n_total, 10.0, estimator, length)
+             for params, mu, n_total, estimator, length, _ in SIGN_CASES]
+    for preset, estimator, n_total, u_alpha, _ in sample():
+        found = reach(preset, estimator, n_total, u_alpha)
+        cases += [(PRESETS[preset], MUS[preset], n_total, u_alpha, estimator, found + step)
+                  for step in (-0.05, 0.05)]
+    signs = set()
+    for params, mu, n_total, u_alpha, estimator, length in cases:
+        eta = transmittance(params, length).eta
+        sign = fluct._reach_probe(params, mu, n_total, u_alpha, estimator)(eta)
+        assert sign == flat_walk_positive(params, eta, mu, n_total, u_alpha,
+                                          runs_vacuum(params, estimator))
+        signs.add(sign)
+    assert signs == {True, False}
+
+
+def test_each_pinned_reach_is_the_crossing_of_the_whole_flat_walk():
+    for params, mu, n_total, estimator, pinned, *_ in REACH_PINS:
+        vacuum = runs_vacuum(params, estimator)
+
+        def sign(length):
+            eta = transmittance(params, length).eta
+            return 1.0 if flat_walk_positive(params, eta, mu, n_total, 10.0, vacuum) else -1.0
+
+        reference = find_zero_crossing(sign, 1.0, fluct.REACH_LIMIT_KM, 8.0, x_tol=0.05)
+        assert max_distance_fluct(params, mu, n_total, estimator=estimator) == reference == pinned
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    preset=st.sampled_from(("GYS", "KTH")),
+    length_frac=st.floats(0.0, 1.0),
+    log_n=st.floats(8.0, 12.0),
+    u_alpha=st.floats(0.5, 12.0),
+    nu_frac=st.floats(0.01, 0.99),
+    w1s=st.lists(st.floats(1e-4, 0.9), min_size=2, max_size=2).map(sorted),
+    w2_fracs=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=2).map(sorted),
+    vacuum=st.booleans(),
+)
+# positive at the smaller allocation, near the GYS 6e9 vacuum+weak reach
+@example(preset="GYS", length_frac=122.0 / 140.0, log_n=math.log10(6.0e9), u_alpha=10.0,
+         nu_frac=0.25, w1s=[0.3, 0.5], w2_fracs=[0.1, 0.2], vacuum=True)
+@example(preset="GYS", length_frac=118.0 / 140.0, log_n=math.log10(6.0e9), u_alpha=10.0,
+         nu_frac=0.25, w1s=[0.4, 0.6], w2_fracs=[0.0, 0.0], vacuum=False)
+def test_more_decoy_pulses_keep_a_positive_rate_positive(preset, length_frac, log_n, u_alpha,
+                                                          nu_frac, w1s, w2_fracs, vacuum):
+    # ROADMAP item 11's monotonicity, which lets a reach probe skip a dominated
+    # allocation: at one length and nu, in one analysis, a rate > 0 at (n1, n2)
+    # stays > 0 at any n1' >= n1, n2' >= n2
+    params, mu, span = {"GYS": (GYS, GYS_MU, 140.0), "KTH": (KTH, KTH_MU, 80.0)}[preset]
+    kernel = fluct._worst_case(params, transmittance(params, length_frac * span).eta, mu)
+    n_total = 10.0**log_n
+    w1, w1_big = w1s
+    room = fluct._W_MAX - w1_big
+    w2, w2_big = (f * room for f in w2_fracs) if vacuum else (0.0, 0.0)
+    rates = []
+    for a, b in ((w1, w2), (w1_big, w2_big)):
+        n1, n2 = a * n_total, b * n_total
+        rates.append(kernel(nu_frac * mu, n1, n2, (n_total - n1 - n2) / (2.0 * n_total),
+                            u_alpha)[0])
+    assert rates[1] > 0.0 or not rates[0] > 0.0
 
 
 def count_calls(monkeypatch, fn):
@@ -423,11 +513,13 @@ def count_calls(monkeypatch, fn):
 # fluctuated_bounds calls, one per negative probe, before a probe read its
 # sign from the search alone; (2,209 / 975 / 2,045) before the probes
 # started afresh at each length from two default seeds, not three;
-# (1,607 / 644 / 1,419) before a flat line search stopped after 8 tied steps
+# (1,607 / 644 / 1,419) before a flat line search stopped after 8 tied steps;
+# (694 / 289 / 609) before a probe evaluated only the undominated allocations
+# of the path a search that finds no key walks
 REACH_PINS = [
-    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 694, 0),
-    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 289, 0),
-    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 609, 0),
+    (GYS, GYS_MU, 6.0e9, "vacuum-weak", 123.078125, 207, 0),
+    (GYS, GYS_MU, 6.0e9, "one-decoy", 120.265625, 84, 0),
+    (KTH, KTH_MU, 8.4e10, "vacuum-weak", 66.765625, 193, 0),
 ]
 # (search evaluations, fluctuated_bounds calls) of table2's optimization and
 # of the pinned scan over SCAN_LENGTHS
@@ -612,7 +704,26 @@ def test_the_search_finds_the_box_when_no_seed_starts_inside_it(estimator, three
 ])
 def test_a_nu_within_the_line_search_width_of_the_box_lies_on_its_edge(nu, edge):
     # at mu = 0.5 the nu box is [1e-3, 0.4995], and the width 1e-5 + 1e-6 * 0.4995
-    assert fluct._nu_box_edge(0.5, nu) == edge
+    expected = [] if edge is None else [f"nu_opt lies on the decoy search's {edge}"]
+    assert fluct._box_edges(0.5, nu, 0.3, 0.05) == expected
+
+
+@pytest.mark.parametrize("w1, w2, edges", [
+    # w1's width is 1e-5 + 1e-6 * 0.98, w2's 1e-5 + 1e-6 * (0.98 - w1)
+    (1e-4 + 1.09e-5, 0.05, ["N_1 lies on the allocation search's lower edge N_1 = 0.0001 N"]),
+    (1e-4 + 1.1e-5, 0.05, []),
+    (0.98 - 1.09e-5, 0.0, ["N_1 lies on the allocation search's upper edge N_1 = 0.98 N"]),
+    (0.3, 1e-6 + 1.06e-5, ["N_2 lies on the allocation search's lower edge N_2 = 1e-06 N"]),
+    (0.3, 1e-6 + 1.1e-5, []),
+    (0.3, 0.68 - 1.06e-5, ["N_2 lies on the allocation search's upper edge N_1 + N_2 = 0.98 N"]),
+    (0.3, 0.68 - 1.1e-5, []),
+    # w2 = 0 is the one-decoy corner, no edge
+    (0.3, 0.0, []),
+    (1e-4, 1e-6, ["N_1 lies on the allocation search's lower edge N_1 = 0.0001 N",
+                  "N_2 lies on the allocation search's lower edge N_2 = 1e-06 N"]),
+])
+def test_a_pulse_fraction_within_the_line_search_width_of_the_box_lies_on_its_edge(w1, w2, edges):
+    assert fluct._box_edges(0.5, 0.2, w1, w2) == edges
 
 
 @pytest.mark.parametrize("y0", [1.7e-6, 1e-7, 1e-8, 1e-10, 0.0])

@@ -34,7 +34,9 @@ def test_readme_cli_transcript_runs_as_shown(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # scan writes its --out file here
     for command, shown in sessions:
         assert cli.main(command.split()) == 0, command
-        printed = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        assert captured.err == "", command  # no note: e.g. table2's optimum is interior
+        printed = captured.out.splitlines()
         for line in shown.splitlines():
             if line in ("", "..."):
                 continue
