@@ -198,6 +198,8 @@ def _print_reach(key: str, km: Optional[float], limit: float = rate_mod.REACH_LI
 
 
 def cmd_optimal_mu(args) -> None:
+    if args.length is not None:
+        _length("--length", args.length)
     params = _params_from(args)
     if args.method == "wang":
         mu_w = rate_mod.optimal_mu_wang(params, length_km=args.length)
@@ -218,7 +220,7 @@ def cmd_bounds(args) -> None:
     if args.nu2 < 0.0:  # a negative nu2 would only drop the two-decoy row
         raise ValidationError(f"nu2 must be >= 0, got {args.nu2}")
     params = _params_from(args)
-    eta = transmittance(params, args.length).eta
+    eta = transmittance(params, _length("--length", args.length)).eta
     q = 1.0 if args.efficient_bb84 else 0.5
 
     names = ["asymptotic", "vacuum-weak"] + (["two-decoy"] if args.nu2 > 0.0 else [])
@@ -249,7 +251,15 @@ def _noiseless_rate_fn(params, estimator, mu, nu1=CURVE_NU, nu2=0.0, q=0.5):
     )
 
 
+def _length(option: str, km: float) -> float:
+    """``km``, rejected if < 0 under the option's name, which the model's check does not know."""
+    if km < 0.0:
+        raise ValidationError(f"{option} must be >= 0 km, got {km:g}")
+    return km
+
+
 def _grid(lo: float, hi: float, steps: int):
+    _length("--l-min", lo)
     if steps < 2:
         raise ValidationError("steps must be >= 2")
     if hi <= lo:
@@ -330,7 +340,7 @@ def cmd_fluct_optimize(args) -> None:
     u_alpha = _band_width(args.u_alpha)
     params = _params_from(args)
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
-    eta = transmittance(params, args.length).eta
+    eta = transmittance(params, _length("--length", args.length)).eta
     res = fluct_mod.optimize_allocation(
         params, eta, mu, args.n_pulses, u_alpha=u_alpha, estimator=args.estimator
     )

@@ -22,11 +22,13 @@ analysis alone: its vacuum decoy would record no events.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from . import numerics
 from .bounds import _check_mu_range, _check_one_decoy_intensities
 from .model import (
     E0,
@@ -391,7 +393,8 @@ def optimize_allocation(
     descent, a scan's from its last optimum too, stops once a cycle gains
     less than _REL_TOL relative, or after _MAX_CYCLES cycles.
     scan_distance_fluct runs this search at its first length only, then
-    continues from it.
+    continues from it, and runs the corner again only where it can still
+    win.
     """
     point = _search(params, eta, mu, n_total, u_alpha, estimator)
     return _report(params, eta, mu, n_total, u_alpha, estimator, point)
@@ -405,6 +408,7 @@ def _search(
     u_alpha: float,
     estimator: str,
     warm: Optional[Tuple[float, float, float]] = None,
+    corner: bool = True,
 ) -> Tuple[float, float, float]:
     """optimize_allocation's best point (nu, w1, w2): _descend on the kernel at eta.
 
@@ -415,7 +419,7 @@ def _search(
     if not 0.0 <= eta <= 1.0:
         raise ValidationError(f"eta must lie in [0, 1], got {eta}")
     best, point = _descend(_worst_case(params, eta, mu), mu, n_total, u_alpha, with_vacuum,
-                           warm)
+                           warm, corner)
     if best < 0.0:  # every evaluation was off the box or had no data
         _report(params, eta, mu, n_total, u_alpha, estimator, point)
     return point
@@ -444,6 +448,7 @@ def _descend(
     u_alpha: float,
     with_vacuum: bool,
     warm: Optional[Tuple[float, float, float]] = None,
+    corner: bool = True,
 ) -> Tuple[float, Tuple[float, float, float]]:
     """The coordinate descent's best (value, (nu, w1, w2)) on the kernel ``worst_case``.
 
@@ -455,8 +460,8 @@ def _descend(
 
     One rule picks the starts: ``warm`` (if any), then each of
     _DEFAULT_SEEDS in turn, until the first descent whose best is
-    positive.  With the vacuum decoy the w2 = 0 corner then descends once,
-    from the best point so far.
+    positive.  With the vacuum decoy and ``corner`` the w2 = 0 corner then
+    descends once, from the best point so far.
     """
     nu_hi = 0.999 * mu
     two_n = 2.0 * n_total
@@ -507,7 +512,7 @@ def _descend(
         candidates.append(refine(start, free_w2=with_vacuum))
         if candidates[-1][0] > 0.0:  # the first descent that finds key stands
             break
-    if with_vacuum:
+    if with_vacuum and corner:
         # the w2 = 0 corner, once, from the first best point with w2 free
         candidates.append(refine(max(candidates, key=lambda c: c[0])[1], free_w2=False))
     return max(candidates, key=lambda c: c[0])
@@ -521,53 +526,77 @@ def _probe_allocations(params: ExperimentParams, mu: float, n_total: float, u_al
     off it, whatever the link, so every search that finds no key walks one
     path: each default seed in turn, then the w2 = 0 corner, every line
     search a flat walk of at most numerics._FLAT_STEPS tied steps and its
-    midpoint.  That path is _descend on a kernel that records its inputs
-    and rates each 0.  On a link where every allocation has data, the
-    search finds key exactly when an allocation of the path has a rate
-    > 0 there.
+    midpoint.  On a link where every allocation has data, the search finds
+    key exactly when an allocation of the path has a rate > 0 there.  The
+    path's points (nu, w1, w2) depend only on mu and on whether the vacuum
+    decoy runs, so _flat_path builds them once; each is scaled here by
+    n_total with the search's own arithmetic, so every input is the one
+    the search would evaluate.
+    """
+    with_vacuum = _check_search(params, mu, n_total, u_alpha, estimator)
+    two_n = 2.0 * n_total
+    allocations = []
+    for nu, w1, w2 in _flat_path(mu, with_vacuum, numerics._FLAT_STEPS):
+        n1 = w1 * n_total
+        n2 = w2 * n_total
+        allocations.append((nu, n1, n2, (n_total - n1 - n2) / two_n))
+    return allocations
 
-    The list keeps the allocations of the path that no other allocation
-    on it dominates.  One dominates another when both have the same nu
-    and the same analysis (both vacuum pulses, or both n2 = 0), and it
-    has at least as many weak-decoy and vacuum pulses.  Its fewer signal
-    pulses lower q > 0, which scales the rate and keeps its sign; the
-    rate is q B, and where B > 0 it does not fall as n1 or n2 grows, so a
+
+@functools.lru_cache(maxsize=32)
+def _flat_path(mu: float, with_vacuum: bool,
+               flat_steps: int) -> Tuple[Tuple[float, float, float], ...]:
+    """The undominated points (nu, w1, w2) of the path a search that finds no key walks.
+
+    The path is _descend on a kernel that records its inputs and rates
+    each 0, at n_total = 1, where n1 = w1 and n2 = w2 exactly.
+    ``flat_steps`` is numerics._FLAT_STEPS, which shapes the walk: it keys
+    the cache, so a patched cap builds its own path.
+
+    The tuple keeps the points of the path that no other point on it
+    dominates.  One dominates another when both have the same nu and the
+    same analysis (both vacuum pulses, or both w2 = 0), and it has at
+    least as many weak-decoy and vacuum pulses.  Its fewer signal pulses
+    lower q > 0, which scales the rate and keeps its sign; the rate is
+    q B, and where B > 0 it does not fall as n1 or n2 grows, so a
     dominated allocation has key only where its dominator has.  For n1:
     as n1 grows the weak-decoy bands narrow, so Q_nu1's lower end rises
     and the upper end of its error-gain product falls; Y1 rises and e1
     falls, and neither can lower B.  For n2, where only the vacuum band
     narrows, it is a property of the kernel that a test checks, as did
-    72,000 seeded kernel calls (ROADMAP item 11).  Dominance is tested
-    within each (nu, analysis) group, in one sweep by falling n1.  Of
-    the path's 91 allocations (46 for one-decoy), 27 (13) are kept.
+    72,000 seeded kernel calls (ROADMAP item 11).  Scaling by n_total > 0
+    keeps the order of the pulse counts (the path's fractions lie far more
+    than a rounding apart), so the points kept at n_total = 1 are the ones
+    kept at any budget.  Dominance is tested within each
+    (nu, analysis) group, in one sweep by falling w1.  Of the path's 91
+    points (46 for one-decoy), 27 (13) are kept.
     """
-    with_vacuum = _check_search(params, mu, n_total, u_alpha, estimator)
-    path: Dict[Tuple[float, float, float, float], None] = {}  # in first-visit order
+    path: Dict[Tuple[float, float, float], None] = {}  # in first-visit order
 
-    def flat(nu: float, n1: float, n2: float, q: float, *_) -> Tuple[float, float, float]:
-        path[nu, n1, n2, q] = None
+    def flat(nu: float, w1: float, w2: float, *_) -> Tuple[float, float, float]:
+        path[nu, w1, w2] = None
         return 0.0, 0.0, 0.0  # no rate, no bounds: the kernel of a search that finds no key
 
-    _descend(flat, mu, n_total, u_alpha, with_vacuum)
-    groups: Dict[Tuple[float, bool], List[Tuple[float, float, float, float]]] = {}
+    _descend(flat, mu, 1.0, 0.0, with_vacuum)
+    groups: Dict[Tuple[float, bool], List[Tuple[float, float, float]]] = {}
     for point in path:
         groups.setdefault((point[0], point[2] > 0.0), []).append(point)
     kept = set()
     for group in groups.values():
-        # by n1, then n2, falling: a point is dominated where an earlier one has n2 >= its own
+        # by w1, then w2, falling: a point is dominated where an earlier one has w2 >= its own
         top = -1.0
         for point in sorted(group, key=lambda p: (-p[1], -p[2])):
             if point[2] > top:
                 kept.add(point)
                 top = point[2]
-    return [point for point in path if point in kept]
+    return tuple(point for point in path if point in kept)
 
 
 def _reach_probe(params: ExperimentParams, mu: float, n_total: float, u_alpha: float,
                  estimator: str) -> Callable[[float], bool]:
     """f(eta): whether the allocation search finds a positive rate at transmittance eta.
 
-    f runs the kernel over _probe_allocations, built once here, in order,
+    f runs the kernel over _probe_allocations, scaled once here, in order,
     and returns at the first rate > 0.  It skips an allocation whose band
     has no expected events; where none has data it runs the search, which
     raises what fluctuated_bounds raises at its best point.  A link where
@@ -663,15 +692,21 @@ def scan_distance_fluct(
     The first length runs optimize_allocation's search.  The optimum moves
     little from one length to the next, so each later one descends from
     the last optimum first (see _search's ``warm``) and stops on the same
-    _REL_TOL, then refines the w2 = 0 corner; past the reach that descent
-    finds no positive rate, and the default seeds run in turn, as at the
-    first length.
+    _REL_TOL; past the reach that descent finds no positive rate, and the
+    default seeds run in turn, as at the first length.  A later length
+    refines the w2 = 0 corner only where the last optimum lay on it, or
+    where the length falls: the vacuum decoy measures the background,
+    whose share of the decoy gain grows with distance, so once the
+    optimum leaves the corner it does not return along rising lengths.
     """
     points: List[ScanPoint] = []
     warm: Optional[Tuple[float, float, float]] = None
+    last = 0.0
     for length in lengths_km:
         eta = transmittance(params, length).eta
-        warm = _search(params, eta, mu, n_total, u_alpha, estimator, warm=warm)
+        corner = warm is None or warm[2] == 0.0 or length < last
+        warm = _search(params, eta, mu, n_total, u_alpha, estimator, warm, corner)
+        last = length
         res = _report(params, eta, mu, n_total, u_alpha, estimator, warm)
         alloc, fb = res.alloc, res.result
         points.append(ScanPoint(
@@ -701,8 +736,9 @@ def max_distance_fluct(
     the optimum stops being positive.  Returns None when it is not
     positive at 1 km, and exactly l_hi when it is still positive there.
     l_hi must be finite and > 1 km.  Each probe asks only the sign: it
-    tries the allocations of _probe_allocations, built once per call (27
-    for vacuum+weak, 13 for one-decoy), and stops at the first with a
+    tries the allocations of _probe_allocations (27 for vacuum+weak, 13
+    for one-decoy), whose path is built once per mu and analysis and
+    scaled by n_total once per call, and stops at the first with a
     positive rate.
     """
     if not 1.0 < l_hi < math.inf:

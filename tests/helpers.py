@@ -2,7 +2,8 @@
 
 Numerics (finite_difference, and the probes of a golden-section search
 on a flat objective), the walk of an allocation search that finds no
-key and the reach probe that evaluates all of it, the photon-number series of the channel
+key, the reach probe that evaluates all of it and the probe's pruned
+list built at one budget without a cache, the photon-number series of the channel
 model (photon_transmittance, yield_i, gain_i, error_i,
 poisson_tail_cutoff), and the structure of the Y1/e1 bounds as functions
 of the weakest decoy behind criterion 10's "the weakest decoy should be
@@ -104,6 +105,36 @@ def flat_walk_positive(params: ExperimentParams, eta: float, mu: float, n_total:
         except fluct.InsufficientDataError:
             continue
     return False
+
+
+def uncached_probe_allocations(params: ExperimentParams, mu: float, n_total: float,
+                               u_alpha: float, estimator: str) -> list:
+    """fluct._probe_allocations' list, recorded and pruned at n_total itself, with no cache.
+
+    Runs the descent at n_total on a kernel that records its inputs
+    (nu, n1, n2, q) and rates each 0, then keeps, in first-visit order,
+    the inputs that no other with the same nu and analysis (n2 > 0 or
+    not) dominates with at least as many weak-decoy and vacuum pulses.
+    """
+    with_vacuum = fluct._check_search(params, mu, n_total, u_alpha, estimator)
+    path = {}  # in first-visit order
+
+    def flat(nu, n1, n2, q, *_):
+        path[nu, n1, n2, q] = None
+        return 0.0, 0.0, 0.0
+
+    fluct._descend(flat, mu, n_total, u_alpha, with_vacuum)
+    groups = {}
+    for point in path:
+        groups.setdefault((point[0], point[2] > 0.0), []).append(point)
+    kept = set()
+    for group in groups.values():
+        top = -1.0
+        for point in sorted(group, key=lambda p: (-p[1], -p[2])):
+            if point[2] > top:
+                kept.add(point)
+                top = point[2]
+    return [point for point in path if point in kept]
 
 
 # --- the photon-number series of the channel model ---------------------

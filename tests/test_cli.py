@@ -409,6 +409,22 @@ def test_a_band_of_zero_sigma_is_rejected_before_any_search(monkeypatch, capsys,
                    "rate\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("scan", "--l-min", "-5", "--l-max", "10", "--steps", "3"), "--l-min must be >= 0 km, got -5"),
+    (("scan", "--l-min", "-5", "--l-max", "10", "--steps", "3", "--n-pulses", "6e9"),
+     "--l-min must be >= 0 km, got -5"),
+    (("fluct-optimize", "--length", "-3"), "--length must be >= 0 km, got -3"),
+    (("bounds", "--length", "-3", "--mu", "0.5", "--nu1", "0.1"),
+     "--length must be >= 0 km, got -3"),
+    (("optimal-mu", "--length", "-3"), "--length must be >= 0 km, got -3"),
+], ids=("scan", "scan-n-pulses", "fluct-optimize", "bounds", "optimal-mu"))
+def test_a_negative_length_is_rejected_under_its_option(monkeypatch, capsys, argv, err):
+    # the model's own check named length_km, which no command takes
+    monkeypatch.setattr(cli.fluct_mod, "_search", never_searched)
+    code, out, stderr = run(capsys, *argv)
+    assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
 def test_fluct_optimize_where_no_allocation_gives_key_names_the_length(capsys):
     # every evaluation is 0 or -1 at this budget: the point reported is no
     # optimum, so its low counts are not what stops the command

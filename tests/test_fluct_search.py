@@ -16,7 +16,7 @@ import math
 
 import pytest
 from fluct_oracle import oracle_fluctuated_bounds
-from helpers import flat_walk, flat_walk_positive
+from helpers import flat_walk, flat_walk_positive, uncached_probe_allocations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_search_relations import MUS, PRESETS, reach, sample
@@ -421,6 +421,53 @@ def test_a_probe_has_the_sign_of_the_whole_flat_walk():
     assert signs == {True, False}
 
 
+def test_a_probe_scales_the_cached_path_to_the_list_built_at_its_budget():
+    # at each pinned reach's link and each sampled link, bit for bit
+    links = [(params, mu, n_total, 10.0, estimator)
+             for params, mu, n_total, estimator, *_ in REACH_PINS]
+    links += [(PRESETS[preset], MUS[preset], n_total, u_alpha, estimator)
+              for preset, estimator, n_total, u_alpha, _ in sample()]
+    for link in links:
+        assert fluct._probe_allocations(*link) == uncached_probe_allocations(*link)
+
+
+def count_path_builds(monkeypatch):
+    """Empty the probe-path cache; return a list of _descend's later calls' with_vacuum."""
+    builds = []
+    descend = fluct._descend
+
+    def counted(worst_case, mu, n_total, u_alpha, with_vacuum, *rest):
+        builds.append(with_vacuum)
+        return descend(worst_case, mu, n_total, u_alpha, with_vacuum, *rest)
+
+    fluct._flat_path.cache_clear()
+    monkeypatch.setattr(fluct, "_descend", counted)
+    return builds
+
+
+def test_the_probe_path_is_built_once_per_mu_and_analysis(monkeypatch):
+    builds = count_path_builds(monkeypatch)
+    for n_total in (6.0e9, 8.4e10):
+        for u_alpha in (5.0, 10.0):
+            fluct._probe_allocations(GYS, GYS_MU, n_total, u_alpha, "vacuum-weak")
+    assert builds == [True]
+    fluct._probe_allocations(GYS, GYS_MU, 6.0e9, 10.0, "one-decoy")
+    fluct._probe_allocations(KTH, KTH_MU, 6.0e9, 10.0, "vacuum-weak")
+    assert builds == [True, False, True]
+    assert fluct._flat_path.cache_info().hits == 3
+
+
+def test_a_patched_flat_step_cap_builds_a_fresh_probe_path(monkeypatch):
+    # the cap shapes the flat walk, so a path cached under another cap would be stale
+    builds = count_path_builds(monkeypatch)
+    link = (GYS, GYS_MU, 6.0e9, 10.0, "vacuum-weak")
+    capped = fluct._probe_allocations(*link)
+    monkeypatch.setattr(numerics, "_FLAT_STEPS", numerics._MAX_ITER)
+    uncapped = fluct._probe_allocations(*link)
+    assert builds == [True, True]
+    assert uncapped == uncached_probe_allocations(*link) != capped
+
+
 def test_each_pinned_reach_is_the_crossing_of_the_whole_flat_walk():
     for params, mu, n_total, estimator, pinned, *_ in REACH_PINS:
         vacuum = runs_vacuum(params, estimator)
@@ -525,7 +572,7 @@ REACH_PINS = [
 # of the pinned scan over SCAN_LENGTHS
 TABLE2_COUNTS = (134, 1)
 SCAN_LENGTHS = [20.0, 60.0, 100.0, 125.0]
-SCAN_COUNTS = (561, 4)
+SCAN_COUNTS = (538, 4)
 
 
 def test_reach_evaluation_count(monkeypatch):
@@ -565,7 +612,10 @@ def test_warm_started_scan_pinned(monkeypatch):
     # first seed that finds key cut them to 602 and moved no point; each line
     # search starting from the incumbent cut them to 561 and moved every point,
     # e.g. R_L at 20 km from 0.0007615513059165533 and at 100 km from
-    # 5.786930827031694e-06
+    # 5.786930827031694e-06.  Refining the w2 = 0 corner at a later length only
+    # where the last optimum lay on it cut them to 538 and moved no point: the
+    # corner still ran at 60 and 100 km, after optima on it, and not at 125 km,
+    # after 100 km's optimum with vacuum pulses
     points, n, n_bounds = count_calls(
         monkeypatch, lambda: scan_distance_fluct(GYS, GYS_MU, 6.0e9, SCAN_LENGTHS))
     assert [repr(p) for p in points] == [

@@ -4,8 +4,9 @@ A value pinned from the search's own output only shows that it was
 pinned.  The model orders some optima without computing them: more
 pulses keep every allocation feasible and narrow every band, a wider
 band and a longer link only lower the worst-case rate, the vacuum+weak
-search contains the one-decoy analysis as its w2 = 0 corner, and no
-finite-size rate beats perfect single-photon knowledge.  Each test checks
+search contains the one-decoy analysis as its w2 = 0 corner, an optimum
+that leaves that corner along rising lengths does not return to it, and
+no finite-size rate beats perfect single-photon knowledge.  Each test checks
 one such relation on one seeded sample of links, so a search change that
 breaks it fails here, and re-recording cannot mend it.
 
@@ -16,7 +17,8 @@ reach; reaches and optima are computed once per sample point and shared.
 import functools
 import random
 
-from decoyqkd.fluct import max_distance_fluct, optimize_allocation
+from decoyqkd import fluct
+from decoyqkd.fluct import max_distance_fluct, optimize_allocation, scan_distance_fluct
 from decoyqkd.model import GYS, KTH, transmittance
 from decoyqkd.rate import FINITE_SIZE_ESTIMATORS, asymptotic_rate, optimal_mu
 
@@ -24,6 +26,7 @@ PRESETS = {"GYS": GYS, "KTH": KTH}
 MUS = {name: optimal_mu(params) for name, params in PRESETS.items()}
 REL = 1e-9  # each monotone relation holds to rounding, not to the search's tolerance
 ORDER_REL = 1e-6  # vacuum+weak against one-decoy: two searches, each to its own precision
+CORNER_FRACTIONS = tuple(i / 10.0 for i in range(1, 10))  # ascending lengths, in reaches
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,6 +59,15 @@ def optimum(preset, estimator, n_total, u_alpha, length):
     eta = transmittance(params, length).eta
     return optimize_allocation(params, eta, MUS[preset], n_total, u_alpha,
                                estimator).result.rate_lower
+
+
+@functools.lru_cache(maxsize=None)
+def on_corner(preset, n_total, u_alpha, length):
+    """Whether the vacuum+weak optimum at one length lies on the w2 = 0 corner."""
+    params = PRESETS[preset]
+    eta = transmittance(params, length).eta
+    return optimize_allocation(params, eta, MUS[preset], n_total,
+                               u_alpha).alloc.n_decoy2 == 0.0
 
 
 def at_most(low, high):
@@ -116,3 +128,41 @@ def test_no_optimum_beats_the_asymptotic_rate():
                         (n_total, u_alpha + 1.0, length), (n_total, u_alpha, length + 1.0)):
             bound = asymptotic_rate(params, transmittance(params, l).eta, MUS[preset])
             assert max(optimum(preset, estimator, n, u, l), 0.0) <= max(bound, 0.0)
+
+
+def test_an_optimum_that_leaves_the_corner_does_not_return_to_it():
+    # the vacuum decoy measures the background, whose share of the decoy gain grows
+    # with distance: scan_distance_fluct skips the corner after an optimum off it
+    left = 0
+    for preset, estimator, n_total, u_alpha, _ in sample():
+        if estimator != "vacuum-weak":
+            continue
+        found = reach(preset, estimator, n_total, u_alpha)
+        corners = [on_corner(preset, n_total, u_alpha, f * found) for f in CORNER_FRACTIONS]
+        assert corners == sorted(corners, reverse=True)  # on it, then off it for good
+        left += corners[0] and not corners[-1]
+    assert left > 0  # the sample sees optima leave the corner
+
+
+def test_a_scan_that_steps_back_in_length_runs_the_corner_there():
+    # 20 km's optimum lies on the corner and 100 km's does not; back at 20 km the
+    # corner wins again, which a scan that skipped it would miss
+    params, mu, n_total = GYS, MUS["GYS"], 6.0e9
+    etas = {length: transmittance(params, length).eta for length in (20.0, 100.0)}
+
+    def search(length, warm=None, corner=True):
+        return fluct._search(params, etas[length], mu, n_total, 10.0, "vacuum-weak", warm,
+                             corner)
+
+    at_100 = search(100.0, search(20.0))
+    assert at_100[2] > 0.0
+    back = fluct._report(params, etas[20.0], mu, n_total, 10.0, "vacuum-weak",
+                         search(20.0, at_100))
+    skipped = fluct._report(params, etas[20.0], mu, n_total, 10.0, "vacuum-weak",
+                            search(20.0, at_100, corner=False))
+    assert back.alloc.n_decoy2 == 0.0 < skipped.alloc.n_decoy2
+    assert back.result.rate_lower > skipped.result.rate_lower
+    third = scan_distance_fluct(params, mu, n_total, [20.0, 100.0, 20.0])[2]
+    assert (third.rate_lower, third.nu, third.n_signal, third.n_decoy1, third.n_decoy2) == (
+        back.result.rate_lower, back.nu, back.alloc.n_signal, back.alloc.n_decoy1,
+        back.alloc.n_decoy2)
