@@ -10,7 +10,9 @@ Subcommands:
     reproduce       canned figure/table datasets (fig1..fig6, table2)
 
 Exit codes: 0 on success, 2 on input validation errors, 1 on anything
-else.  CSV goes to --out when given, otherwise to standard output; a
+else.  Every option with a lowest allowed value has one row in _RANGES,
+which main checks before any command runs, so the error names the option
+as typed.  CSV goes to --out when given, otherwise to standard output; a
 failed command leaves the --out file as it was.
 """
 
@@ -47,6 +49,21 @@ CURVE_WANG_MU_KTH = 0.43
 PULSES_DEFAULT = 6.0e9
 PULSES_LARGE = 8.4e10
 
+# option dest -> (lowest allowed value, whether it is excluded, unit, note); a
+# negative nu2 would only drop the two-decoy row, and steps < 2 leaves no grid
+_RANGES = {
+    "length": (0.0, False, " km", ""),
+    "l_min": (0.0, False, " km", ""),
+    "mu": (0.0, True, "", ""),
+    "nu1": (0.0, True, "", ""),
+    "nu2": (0.0, False, "", ""),
+    "n_pulses": (0.0, True, "", ""),
+    "steps": (2, False, "", ""),
+    # with no band the search only shrinks the decoys
+    "u_alpha": (0.0, True, "", "; without a confidence band no allocation is an optimum, "
+                "and scan without --n-pulses gives the noiseless rate"),
+}
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
@@ -55,6 +72,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
+        for dest, (low, excluded, unit, note) in _RANGES.items():
+            value = getattr(args, dest, None)
+            if value is not None and (value <= low if excluded else value < low):
+                raise ValidationError(f"--{dest.replace('_', '-')} must be "
+                                      f"{'>' if excluded else '>='} {low:g}{unit}, "
+                                      f"got {value:g}{note}")
         args.func(args)
         return 0
     except ValidationError as exc:
@@ -198,8 +221,6 @@ def _print_reach(key: str, km: Optional[float], limit: float = rate_mod.REACH_LI
 
 
 def cmd_optimal_mu(args) -> None:
-    if args.length is not None:
-        _length("--length", args.length)
     params = _params_from(args)
     if args.method == "wang":
         mu_w = rate_mod.optimal_mu_wang(params, length_km=args.length)
@@ -217,10 +238,8 @@ def cmd_optimal_mu(args) -> None:
 
 
 def cmd_bounds(args) -> None:
-    if args.nu2 < 0.0:  # a negative nu2 would only drop the two-decoy row
-        raise ValidationError(f"nu2 must be >= 0, got {args.nu2}")
     params = _params_from(args)
-    eta = transmittance(params, _length("--length", args.length)).eta
+    eta = transmittance(params, args.length).eta
     q = 1.0 if args.efficient_bb84 else 0.5
 
     names = ["asymptotic", "vacuum-weak"] + (["two-decoy"] if args.nu2 > 0.0 else [])
@@ -251,19 +270,9 @@ def _noiseless_rate_fn(params, estimator, mu, nu1=CURVE_NU, nu2=0.0, q=0.5):
     )
 
 
-def _length(option: str, km: float) -> float:
-    """``km``, rejected if < 0 under the option's name, which the model's check does not know."""
-    if km < 0.0:
-        raise ValidationError(f"{option} must be >= 0 km, got {km:g}")
-    return km
-
-
 def _grid(lo: float, hi: float, steps: int):
-    _length("--l-min", lo)
-    if steps < 2:
-        raise ValidationError("steps must be >= 2")
     if hi <= lo:
-        raise ValidationError("l-max must exceed l-min")
+        raise ValidationError(f"--l-max must exceed --l-min, got {hi:g} <= {lo:g}")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 
@@ -278,7 +287,7 @@ def cmd_scan(args) -> None:
     finite = args.n_pulses is not None
     if finite:
         _reject_unread(args, ("nu1", "nu2", "efficient_bb84"), "scan --n-pulses")
-        u_alpha = _band_width(getattr(args, "u_alpha", 10.0))
+        u_alpha = getattr(args, "u_alpha", 10.0)
     else:
         _reject_unread(args, ("u_alpha",), "scan without --n-pulses")
     # an estimator reads the decoy intensities its row observes
@@ -315,16 +324,6 @@ def cmd_scan(args) -> None:
     _print_reach("max_distance_km", rate_mod.max_secure_distance(fn))
 
 
-def _band_width(u_alpha: float) -> float:
-    """``u_alpha``, rejected unless > 0: with no band the search only shrinks the decoys."""
-    if not u_alpha > 0.0:
-        raise ValidationError(
-            f"--u-alpha must be > 0, got {u_alpha:g}; without a confidence band no allocation "
-            "is an optimum, and scan without --n-pulses gives the noiseless rate"
-        )
-    return u_alpha
-
-
 def _require_counts(n_pulses: float, low_count_observables: Sequence[str],
                     length_km: float) -> None:
     """Reject an optimum whose confidence bands rest on too few expected events."""
@@ -337,12 +336,11 @@ def _require_counts(n_pulses: float, low_count_observables: Sequence[str],
 
 
 def cmd_fluct_optimize(args) -> None:
-    u_alpha = _band_width(args.u_alpha)
     params = _params_from(args)
     mu = args.mu if args.mu is not None else rate_mod.optimal_mu(params)
-    eta = transmittance(params, _length("--length", args.length)).eta
+    eta = transmittance(params, args.length).eta
     res = fluct_mod.optimize_allocation(
-        params, eta, mu, args.n_pulses, u_alpha=u_alpha, estimator=args.estimator
+        params, eta, mu, args.n_pulses, u_alpha=args.u_alpha, estimator=args.estimator
     )
     alloc, fb = res.alloc, res.result
     if not fb.rate_lower > 0.0:

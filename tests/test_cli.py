@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from decoyqkd import cli, fluct
+from test_boundary import REQUIRED
 
 
 def run(capsys, *argv):
@@ -423,6 +424,68 @@ def test_a_negative_length_is_rejected_under_its_option(monkeypatch, capsys, arg
     monkeypatch.setattr(cli.fluct_mod, "_search", never_searched)
     code, out, stderr = run(capsys, *argv)
     assert (code, out, stderr) == (2, "", f"error: {err}\n")
+
+
+SUBCOMMANDS = next(a for a in cli._build_parser()._actions
+                   if a.choices and "scan" in a.choices).choices
+# per option with a _RANGES row: a value at its excluded bound or below its allowed
+# one, and the error that names the option
+OUT_OF_RANGE = {
+    "--length": ("-1", "--length must be >= 0 km, got -1"),
+    "--l-min": ("-0.5", "--l-min must be >= 0 km, got -0.5"),
+    "--mu": ("0", "--mu must be > 0, got 0"),
+    "--nu1": ("0", "--nu1 must be > 0, got 0"),
+    "--nu2": ("-0.001", "--nu2 must be >= 0, got -0.001"),
+    "--n-pulses": ("0", "--n-pulses must be > 0, got 0"),
+    "--steps": ("1", "--steps must be >= 2, got 1"),
+    "--u-alpha": ("0", "--u-alpha must be > 0, got 0; without a confidence band no allocation "
+                  "is an optimum, and scan without --n-pulses gives the noiseless rate"),
+}
+
+
+def range_cases():
+    """(argv, message) for each subcommand's option with a _RANGES row."""
+    for command, parser in SUBCOMMANDS.items():
+        for action in parser._actions:
+            if action.dest in cli._RANGES:
+                option = action.option_strings[0]
+                value, message = OUT_OF_RANGE[option]
+                yield (command, *REQUIRED[command], option, value), message
+
+
+RANGE_CASES = list(range_cases()) + [
+    # values the library once rejected under its own names, n_total and mean photon number
+    (tuple("fluct-optimize --length 40 --n-pulses -5".split()), "--n-pulses must be > 0, got -5"),
+    (tuple("bounds --length 40 --mu 0.5 --nu1 -0.1".split()), "--nu1 must be > 0, got -0.1"),
+    (tuple("scan --n-pulses -5 --steps 3 --l-max 10".split()), "--n-pulses must be > 0, got -5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RANGE_CASES,
+                         ids=[" ".join(argv) for argv, _ in RANGE_CASES])
+def test_an_option_out_of_range_is_rejected_under_its_name(monkeypatch, tmp_path, capsys,
+                                                           argv, message):
+    monkeypatch.setattr(cli.fluct_mod, "_search", never_searched)
+    out_path = tmp_path / "x.csv"
+    if "--out" in SUBCOMMANDS[argv[0]]._option_string_actions:
+        argv += ("--out", str(out_path))
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_every_bounded_option_has_one_range_row():
+    # --l-max is checked against --l-min, and the model's own message names f_ec
+    actions = [action for parser in SUBCOMMANDS.values() for action in parser._actions]
+    ranged = {"--" + dest.replace("_", "-") for dest in cli._RANGES}
+    finite = {action.option_strings[0] for action in actions if action.type is cli._finite}
+    assert finite - {"--l-max", "--f-ec"} <= ranged
+    assert set(cli._RANGES) <= {action.dest for action in actions}
+    assert ranged == set(OUT_OF_RANGE)
+
+
+def test_scan_names_both_grid_ends_when_they_cross(capsys):
+    code, out, err = run(capsys, "scan", "--l-min", "50", "--l-max", "10")
+    assert (code, out, err) == (2, "", "error: --l-max must exceed --l-min, got 10 <= 50\n")
 
 
 def test_fluct_optimize_where_no_allocation_gives_key_names_the_length(capsys):
